@@ -10,18 +10,20 @@
 //     XOR gates are "free" in GMW (evaluated locally on shares) while each
 //     AND gate costs one interaction round of oblivious transfers;
 //   - a Builder with word-level combinators (adders, subtractors,
-//     comparators, multiplexers, multipliers, a restoring divider, and
+//     comparators, multiplexers, multipliers, a restoring divider whose
+//     per-bit subtract is a log-depth parallel-prefix borrow chain, and
 //     fixed-point variants) used by internal/risk to express the
 //     Eisenberg–Noe and Elliott–Golub–Jackson update rules;
 //   - a plaintext evaluator used by tests to check the MPC engine and by
 //     the reference runtime.
 //
-// Gates are stored in topological (creation) order. Build additionally
-// groups AND gates into interaction rounds — an AND gate's round is one more
-// than the maximum round among its inputs — so the GMW engine can batch all
-// oblivious transfers of a round into one message exchange. The number of
-// rounds equals the circuit's multiplicative depth, the dominant latency
-// term in §5.2's microbenchmarks.
+// Gates are stored in topological (creation) order. Build drops every gate
+// no output depends on, then groups AND gates into interaction rounds — an
+// AND gate's round is one more than the maximum round among its inputs —
+// so the GMW engine can batch all oblivious transfers of a round into one
+// message exchange. The number of rounds equals the circuit's
+// multiplicative depth, the dominant latency term in §5.2's
+// microbenchmarks.
 package circuit
 
 import (
@@ -307,29 +309,58 @@ func (b *Builder) OutputWord(w Word) {
 	}
 }
 
-// Build finalizes the circuit and computes the interaction schedule.
+// Build finalizes the circuit: it drops every gate that no output depends
+// on (word combinators leave some behind, such as unused carry-outs and
+// the final-level propagates of a prefix scan), renumbers the surviving
+// gates in creation order, and computes the interaction schedule.
 func (b *Builder) Build() *Circuit {
-	c := &Circuit{
-		NumInputs: b.numInputs,
-		Gates:     b.gates,
-		Outputs:   b.outputs,
-	}
-	maxRound := int32(0)
-	for i := range b.gates {
-		r := b.round[2+b.numInputs+i]
-		if r > maxRound {
-			maxRound = r
+	first := Wire(2 + b.numInputs) // first gate output wire
+	live := make([]bool, len(b.gates))
+	for _, w := range b.outputs {
+		if w >= first {
+			live[w-first] = true
 		}
 	}
-	c.Rounds = make([]Round, maxRound+1)
+	for i := len(b.gates) - 1; i >= 0; i-- {
+		if !live[i] {
+			continue
+		}
+		for _, w := range [2]Wire{b.gates[i].A, b.gates[i].B} {
+			if w >= first {
+				live[w-first] = true
+			}
+		}
+	}
+	// remap[i] is gate i's new output wire; only live entries are read.
+	remap := make([]Wire, len(b.gates))
+	wire := func(w Wire) Wire {
+		if w < first {
+			return w
+		}
+		return remap[w-first]
+	}
+	c := &Circuit{NumInputs: b.numInputs, Rounds: make([]Round, 1)}
 	for i, g := range b.gates {
-		r := b.round[2+b.numInputs+i]
+		if !live[i] {
+			continue
+		}
+		k := len(c.Gates)
+		remap[i] = first + Wire(k)
+		c.Gates = append(c.Gates, Gate{Kind: g.Kind, A: wire(g.A), B: wire(g.B)})
+		r := b.round[int(first)+i]
+		for int(r) >= len(c.Rounds) {
+			c.Rounds = append(c.Rounds, Round{})
+		}
 		if g.Kind == AND {
-			c.Rounds[r].And = append(c.Rounds[r].And, i)
+			c.Rounds[r].And = append(c.Rounds[r].And, k)
 			c.NumAnd++
 		} else {
-			c.Rounds[r].Local = append(c.Rounds[r].Local, i)
+			c.Rounds[r].Local = append(c.Rounds[r].Local, k)
 		}
+	}
+	c.Outputs = make([]Wire, len(b.outputs))
+	for i, w := range b.outputs {
+		c.Outputs[i] = wire(w)
 	}
 	return c
 }
@@ -565,11 +596,11 @@ func (b *Builder) Mul(x, y Word) Word {
 	return acc
 }
 
-// DivU returns floor(x/y) for unsigned words via restoring division. When
-// y == 0 the quotient saturates to all ones, matching fixed.Val.Div's
-// convention (the extra remainder subtraction never fires because the
-// comparison against zero... the all-ones result comes from R >= 0 always
-// succeeding).
+// DivU returns floor(x/y) for unsigned words via restoring division. Each
+// quotient bit is one SubPrefixBorrow of the shifted remainder against y
+// plus a remainder mux, so the divider's depth is about width·log₂(width)
+// rather than width². When y == 0 every trial subtraction fits, so the
+// quotient is all ones, matching fixed.Val.Div's saturation convention.
 func (b *Builder) DivU(x, y Word) Word {
 	mustSameWidth(x, y)
 	n := len(x)
@@ -580,7 +611,7 @@ func (b *Builder) DivU(x, y Word) Word {
 	for i := n - 1; i >= 0; i-- {
 		// r = (r << 1) | x[i]
 		r = append(Word{x[i]}, r[:n]...)
-		diff, borrow := b.SubBorrow(r, yw)
+		diff, borrow := b.SubPrefixBorrow(r, yw)
 		fits := b.Not(borrow) // r >= y
 		q[i] = fits
 		r = b.MuxWord(fits, diff, r)

@@ -465,6 +465,53 @@ func TestRoundsSchedule(t *testing.T) {
 	}
 }
 
+func TestBuildEliminatesDeadGates(t *testing.T) {
+	// Dead gates are interleaved with live ones so that renumbering has to
+	// remap operands, and the dead chain is deeper than the live path so
+	// its rounds must vanish from the schedule too.
+	b := NewBuilder()
+	x := b.Input()
+	y := b.Input()
+	z := b.Input()
+	a := b.And(x, y)       // live, round 1
+	d1 := b.And(x, z)      // dead
+	e := b.Xor(a, z)       // live
+	d2 := b.And(d1, y)     // dead, round 2
+	f := b.And(e, x)       // live, round 2
+	b.And(b.Xor(d2, f), z) // dead, round 3
+	b.Output(f)
+	b.Output(y)
+	b.Output(WireOne)
+	c := b.Build()
+
+	if len(c.Gates) != 3 || c.NumAnd != 2 {
+		t.Fatalf("kept %d gates (%d AND), want 3 (2 AND)", len(c.Gates), c.NumAnd)
+	}
+	if c.Depth() != 2 {
+		t.Errorf("depth = %d, want 2", c.Depth())
+	}
+	scheduled := 0
+	for _, r := range c.Rounds {
+		scheduled += len(r.And) + len(r.Local)
+	}
+	if scheduled != len(c.Gates) {
+		t.Errorf("schedule holds %d gates, circuit has %d", scheduled, len(c.Gates))
+	}
+	for v := 0; v < 8; v++ {
+		in := []uint8{uint8(v & 1), uint8(v >> 1 & 1), uint8(v >> 2 & 1)}
+		out, err := c.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []uint8{(in[0]&in[1] ^ in[2]) & in[0], in[1], 1}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Errorf("inputs %v: output %d = %d, want %d", in, i, out[i], want[i])
+			}
+		}
+	}
+}
+
 func TestEvalRejectsBadInputs(t *testing.T) {
 	b := NewBuilder()
 	x := b.Input()

@@ -144,6 +144,66 @@ func TestMulDivCircuitGMW(t *testing.T) {
 	}
 }
 
+func TestEvaluateAfterDeadGateElimination(t *testing.T) {
+	// A dead multiplier and the prefix adder's unused carry-out must be
+	// dropped by Build, and GMW must agree with plaintext evaluation on
+	// the renumbered survivors.
+	build := func(withDead bool) *circuit.Circuit {
+		b := circuit.NewBuilder()
+		x := b.InputWord(8)
+		y := b.InputWord(8)
+		if withDead {
+			b.Mul(x, y)
+		}
+		sum, _ := b.AddPrefixCarry(x, y)
+		b.OutputWord(b.AndWords(sum, y))
+		return b.Build()
+	}
+	c, clean := build(true), build(false)
+	if len(c.Gates) != len(clean.Gates) || c.NumAnd != clean.NumAnd || c.Depth() != clean.Depth() {
+		t.Fatalf("dead gates survived: %d gates, %d AND, depth %d; want %d, %d, %d",
+			len(c.Gates), c.NumAnd, c.Depth(), len(clean.Gates), clean.NumAnd, clean.Depth())
+	}
+	rng := mrand.New(mrand.NewSource(3))
+	for i := 0; i < 4; i++ {
+		in := append(circuit.EncodeWord(rng.Int63n(256), 8), circuit.EncodeWord(rng.Int63n(256), 8)...)
+		want, err := c.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runSession(t, 3, c, in, dealerOpt); circuit.DecodeWordU(got) != circuit.DecodeWordU(want) {
+			t.Errorf("GMW = %d, plaintext = %d", circuit.DecodeWordU(got), circuit.DecodeWordU(want))
+		}
+	}
+
+	// Build never leaves an AND-free round in the middle of the schedule
+	// (a live gate's round is set by its ancestors, which all stay live),
+	// but the schedule format allows one, and Evaluate must then skip that
+	// round's OT exchange instead of expecting a batch.
+	gap := &circuit.Circuit{
+		NumInputs: 2,
+		Gates: []circuit.Gate{
+			{Kind: circuit.AND, A: 2, B: 3}, // wire 4
+			{Kind: circuit.XOR, A: 4, B: 2}, // wire 5
+			{Kind: circuit.AND, A: 5, B: 3}, // wire 6
+		},
+		Outputs: []circuit.Wire{6, 5},
+		Rounds:  []circuit.Round{{}, {And: []int{0}}, {Local: []int{1}}, {And: []int{2}}},
+		NumAnd:  2,
+	}
+	for v := 0; v < 4; v++ {
+		in := []uint8{uint8(v & 1), uint8(v >> 1)}
+		want, err := gap.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runSession(t, 3, gap, in, dealerOpt)
+		if got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("inputs %v: GMW %v, plaintext %v", in, got, want)
+		}
+	}
+}
+
 func TestQuickGMWMatchesPlaintext(t *testing.T) {
 	// Property: for random inputs, a mixed circuit evaluates identically
 	// under GMW and plaintext evaluation.

@@ -398,3 +398,39 @@ func TestEGJEndToEndMPC(t *testing.T) {
 		t.Errorf("MPC TDS raw = %d, reference = %d", gotRaw, wantRaw)
 	}
 }
+
+func TestRiskCircuitDepths(t *testing.T) {
+	// GMW spends one communication round per AND level, so depth, not gate
+	// count, sets the per-step latency. These guards hold the 32-bit,
+	// D = 4 circuits at their log-depth sizes: the update bounds are a
+	// fifth of the ripple-divider circuits' depth (2,434 EN, 2,481 EGJ),
+	// and the aggregate bound sits far below the serial noise sampler's
+	// 968.
+	cfg := CircuitConfig{Width: 32, Unit: 1e6}
+	const degree, banks = 4, 8
+	for _, tc := range []struct {
+		name              string
+		prog              *vertex.Program
+		maxUpdate, maxAgg int
+	}{
+		{"EN", ENProgram(cfg, 1e6, 0.1), 486, 100},
+		{"EGJ", EGJProgram(cfg, 1e6, 0.1), 496, 100},
+	} {
+		upd, err := tc.prog.UpdateCircuit(degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := tc.prog.AggregateCircuit(banks, vertex.DefaultNoiseSpec(0.23, tc.prog.Sensitivity, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if upd.Depth() > tc.maxUpdate {
+			t.Errorf("%s update depth %d > %d", tc.name, upd.Depth(), tc.maxUpdate)
+		}
+		if agg.Depth() > tc.maxAgg {
+			t.Errorf("%s aggregate depth %d > %d", tc.name, agg.Depth(), tc.maxAgg)
+		}
+		t.Logf("%s: update depth %d (%d ANDs), aggregate depth %d (%d ANDs)",
+			tc.name, upd.Depth(), upd.NumAnd, agg.Depth(), agg.NumAnd)
+	}
+}

@@ -14,7 +14,10 @@ import (
 //   - a biased coin with P(1) = α is one unsigned comparison of a
 //     CoinBits-wide uniform word against the constant ⌊α·2^CoinBits⌋;
 //   - a geometric variable Geo(α) is the number of leading 1s in a row of
-//     Trials coins (a prefix-AND chain plus a population count);
+//     Trials coins. A log-depth prefix-AND turns the coins into a
+//     thermometer code (1…10…0) whose single 1→0 edge marks the count, so
+//     the count's bits are XORs of those edge indicators and cost no AND
+//     gates;
 //   - the difference of two independent geometric variables has the
 //     two-sided geometric law — the discrete Laplace with parameter α.
 //
@@ -101,21 +104,31 @@ func (n NoiseSpec) Build(b *circuit.Builder, rnd circuit.Word, width int) circui
 }
 
 // buildGeometric counts leading biased-coin successes over Trials coins.
+// The running AND of the coins is a Sklansky prefix-AND, pre[t] = coin₀ ∧
+// … ∧ coin_t, of depth ⌈log₂ Trials⌉. pre is a thermometer code (ones,
+// then zeros), so exactly one of the indicators "the first failure is at
+// t" — pre[t−1] ⊕ pre[t] for 1 ≤ t < Trials, and pre[Trials−1] for
+// t = Trials — is set, and bit j of the count is the XOR of the
+// indicators whose t has bit j set: no AND gates beyond the prefix.
 func (n NoiseSpec) buildGeometric(b *circuit.Builder, rnd circuit.Word, threshold int64) circuit.Word {
-	cw := n.counterBits()
-	count := b.ConstWord(0, cw)
-	prefix := b.One()
 	thr := b.ConstWord(threshold, n.CoinBits)
-	for t := 0; t < n.Trials; t++ {
+	coins := make([]circuit.Wire, n.Trials)
+	for t := range coins {
 		u := rnd[t*n.CoinBits : (t+1)*n.CoinBits]
-		coin := b.LessU(u, thr) // P(u < ⌊α·2^w⌋) = α up to 2^-w
-		prefix = b.And(prefix, coin)
-		inc := make(circuit.Word, cw)
-		inc[0] = prefix
-		for i := 1; i < cw; i++ {
-			inc[i] = b.Zero()
+		coins[t] = b.LessU(u, thr) // P(u < ⌊α·2^w⌋) = α up to 2^-w
+	}
+	pre := b.PrefixAnd(coins)
+	count := b.ConstWord(0, n.counterBits())
+	for t := 1; t <= n.Trials; t++ {
+		edge := pre[t-1] // all Trials coins succeeded
+		if t < n.Trials {
+			edge = b.Xor(pre[t-1], pre[t])
 		}
-		count = b.Add(count, inc)
+		for j := range count {
+			if t>>j&1 == 1 {
+				count[j] = b.Xor(count[j], edge)
+			}
+		}
 	}
 	return count
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -372,6 +374,91 @@ func TestNoiseCircuitShift(t *testing.T) {
 		}
 		if v := circuit.DecodeWordS(out); v%16 != 0 {
 			t.Fatalf("sample %d not shifted: %d", i, v)
+		}
+	}
+}
+
+// serialGeometric is the reference sampler: a serial AND chain over the
+// coins feeding a ripple counter, depth ≈ Trials. buildGeometric must
+// produce the same count bit for bit.
+func serialGeometric(n NoiseSpec, b *circuit.Builder, rnd circuit.Word, threshold int64) circuit.Word {
+	cw := n.counterBits()
+	count := b.ConstWord(0, cw)
+	prefix := b.One()
+	thr := b.ConstWord(threshold, n.CoinBits)
+	for t := 0; t < n.Trials; t++ {
+		u := rnd[t*n.CoinBits : (t+1)*n.CoinBits]
+		coin := b.LessU(u, thr)
+		prefix = b.And(prefix, coin)
+		inc := make(circuit.Word, cw)
+		inc[0] = prefix
+		for i := 1; i < cw; i++ {
+			inc[i] = b.Zero()
+		}
+		count = b.Add(count, inc)
+	}
+	return count
+}
+
+func TestGeometricSamplerMatchesSerialChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, spec := range []NoiseSpec{
+		{Alpha: 0.5, Trials: 8, CoinBits: 8},
+		{Alpha: 0.9, Trials: 13, CoinBits: 6},
+		{Alpha: 0.5, Trials: 40, CoinBits: 16},
+		{Alpha: 0.98, Trials: 100, CoinBits: 12},
+	} {
+		threshold := int64(spec.Alpha * float64(uint64(1)<<spec.CoinBits))
+		b := circuit.NewBuilder()
+		rnd := b.InputWord(spec.Trials * spec.CoinBits)
+		got := spec.buildGeometric(b, rnd, threshold)
+		want := serialGeometric(spec, b, rnd, threshold)
+		b.OutputWord(got)
+		b.OutputWord(want)
+		c := b.Build()
+
+		// Random coins, plus for every count k an input whose first failed
+		// coin is exactly trial k (k = Trials: no failure), so the
+		// thermometer decode is checked at every value it can take.
+		var inputs [][]uint8
+		for i := 0; i < 50; i++ {
+			in := make([]uint8, len(rnd))
+			for j := range in {
+				in[j] = uint8(rng.Intn(2))
+			}
+			inputs = append(inputs, in)
+		}
+		for k := 0; k <= spec.Trials; k++ {
+			in := make([]uint8, len(rnd))
+			for tr := 0; tr < spec.Trials; tr++ {
+				u := rng.Int63n(1 << spec.CoinBits)
+				switch {
+				case tr < k:
+					u = 0 // success
+				case tr == k:
+					u = 1<<spec.CoinBits - 1 // failure
+				}
+				copy(in[tr*spec.CoinBits:], circuit.EncodeWord(u, spec.CoinBits))
+			}
+			inputs = append(inputs, in)
+		}
+		for _, in := range inputs {
+			out, err := c.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw := len(got)
+			g, w := circuit.DecodeWordU(out[:cw]), circuit.DecodeWordU(out[cw:])
+			if g != w {
+				t.Fatalf("Trials=%d: log-depth sampler counted %d, serial chain %d", spec.Trials, g, w)
+			}
+		}
+
+		// Depth: the coin comparisons plus ⌈log₂ Trials⌉ for the prefix-AND.
+		b = circuit.NewBuilder()
+		b.OutputWord(spec.buildGeometric(b, b.InputWord(len(rnd)), threshold))
+		if d, limit := b.Build().Depth(), spec.CoinBits+bits.Len(uint(spec.Trials-1)); d > limit {
+			t.Errorf("Trials=%d: sampler depth %d > %d", spec.Trials, d, limit)
 		}
 	}
 }
