@@ -312,6 +312,7 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 	for {
 		var m nodeMsg
 		if err := nc.dec.Decode(&m); err != nil {
+			s.health.observeConnLoss(id, time.Now())
 			if s.noteDeath(id, err) {
 				return
 			}
@@ -468,9 +469,10 @@ func (s *Session) Health() *FleetHealth {
 // of heartbeat intervals is whoever remains silent called the casualty
 // (the regular heartbeat loop keeps re-probing in the background, so a
 // live straggler's eventual reply shrinks the set and resets the clock).
-// Returns false when everyone answered (the failure was a protocol error
-// or a caller abort, not a death) — the caller then keeps its direct
-// attribution.
+// A silent node whose control connection already failed is named at once;
+// otherwise the settled set's longest-silent node is. Returns false when
+// everyone answered (the failure was a protocol error or a caller abort,
+// not a death) — the caller then keeps its direct attribution.
 func (s *Session) postMortem() (network.NodeID, bool) {
 	probe := time.Now()
 	s.pingAll()
@@ -492,9 +494,13 @@ func (s *Session) postMortem() (network.NodeID, bool) {
 	lastLen := -1
 	lastShrink := probe
 	for {
-		dead := s.health.silentSince(probe)
+		dead, lost := s.health.silentSince(probe)
 		if len(dead) == 0 {
 			return 0, false
+		}
+		if lost {
+			// Its control connection is gone: no reply can still come.
+			return dead[0], true
 		}
 		now := time.Now()
 		if len(dead) != lastLen {

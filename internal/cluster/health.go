@@ -44,6 +44,8 @@ type progressMark struct {
 type nodeHealth struct {
 	beats      uint64
 	lastBeat   time.Time
+	answered   time.Time // send time of the latest ping a beat echoed
+	connLost   time.Time // when the control connection failed; zero while up
 	est        obs.ClockEstimator
 	goroutines int
 	heapBytes  uint64
@@ -102,6 +104,9 @@ func (h *fleetHealth) observeBeat(id network.NodeID, b *beatMsg, t4 time.Time) {
 	}
 	nh.beats++
 	nh.lastBeat = t4
+	if t1 := time.Unix(0, b.T1); t1.After(nh.answered) {
+		nh.answered = t1
+	}
 	nh.est.Sample(b.T1, b.T2, b.T3, t4.UnixNano())
 	nh.goroutines = b.Goroutines
 	nh.heapBytes = b.HeapBytes
@@ -313,18 +318,43 @@ func (h *fleetHealth) failureInfo(id network.NodeID, seq int) (lastPhase string,
 	return lastPhase, time.Since(last), flight.Events()
 }
 
-// silentSince returns the nodes whose last beat predates the probe instant,
-// sorted by id — the post-mortem's "who stopped answering" check.
-func (h *fleetHealth) silentSince(probe time.Time) []network.NodeID {
+// observeConnLoss records that id's control connection failed (EOF or a
+// decode error) at t. Only the first loss counts.
+func (h *fleetHealth) observeConnLoss(id network.NodeID, t time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var dead []network.NodeID
+	if nh := h.nodes[id]; nh != nil && nh.connLost.IsZero() {
+		nh.connLost = t
+	}
+}
+
+// silentSince returns the nodes that have not answered a ping sent at or
+// after the probe instant — the post-mortem's "who stopped answering"
+// check. A beat counts by the ping it echoes, not by when it arrives: a
+// dead node's last beats can still be read after the probe. The result is
+// most suspect first: nodes whose control connection already failed
+// (earliest loss first), then the rest by the oldest ping they answered,
+// ties by id. A slow survivor is silent too, but its connection is up and
+// it answered recently, so it never outranks a node that actually died.
+func (h *fleetHealth) silentSince(probe time.Time) (dead []network.NodeID, connLost bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, id := range h.ids {
-		if h.nodes[id].lastBeat.Before(probe) {
+		if h.nodes[id].answered.Before(probe) {
 			dead = append(dead, id)
 		}
 	}
-	return dead
+	sort.SliceStable(dead, func(i, j int) bool {
+		a, b := h.nodes[dead[i]], h.nodes[dead[j]]
+		if a.connLost.IsZero() != b.connLost.IsZero() {
+			return !a.connLost.IsZero()
+		}
+		if !a.connLost.Equal(b.connLost) {
+			return a.connLost.Before(b.connLost)
+		}
+		return a.answered.Before(b.answered)
+	})
+	return dead, len(dead) > 0 && !h.nodes[dead[0]].connLost.IsZero()
 }
 
 // snapshot renders the model into the public FleetHealth view.

@@ -155,6 +155,36 @@ func TestHeartbeatLoopback(t *testing.T) {
 	}
 }
 
+// TestSilentSinceRanksCasualtyFirst pins the post-mortem's silent set: a
+// node is silent until it echoes a ping sent at or after the probe (a late
+// beat answering an earlier ping does not count), and under load a slow
+// survivor is silent too, so the set is ranked rather than taken in id
+// order — a failed control connection first, then the oldest answer.
+func TestSilentSinceRanksCasualtyFirst(t *testing.T) {
+	h := newFleetHealth([]network.NodeID{1, 2, 3, 4})
+	base := time.Now()
+	probe := base.Add(-5 * time.Millisecond)
+	// Nodes 1-3 answer pings sent before the probe; node 2's beat arrives
+	// after it. Only node 4 answers the probe's own ping.
+	for id, ago := range map[network.NodeID]time.Duration{1: 10, 2: 20, 3: 30} {
+		h.observeBeat(id, &beatMsg{ID: id, T1: base.Add(-ago * time.Millisecond).UnixNano()}, base.Add(-ago*time.Millisecond))
+	}
+	h.observeBeat(2, &beatMsg{ID: 2, T1: base.Add(-6 * time.Millisecond).UnixNano()}, base)
+	h.observeBeat(4, &beatMsg{ID: 4, T1: probe.UnixNano()}, base)
+
+	dead, lost := h.silentSince(probe)
+	if lost || len(dead) != 3 || dead[0] != 3 || dead[1] != 1 || dead[2] != 2 {
+		t.Fatalf("before any connection loss: silent %v (lost %v), want [3 1 2] by oldest answer", dead, lost)
+	}
+	h.observeConnLoss(2, base)
+	h.observeConnLoss(3, base.Add(time.Second))
+	h.observeConnLoss(2, base.Add(2*time.Second)) // only the first loss counts
+	dead, lost = h.silentSince(probe)
+	if !lost || len(dead) != 3 || dead[0] != 2 || dead[1] != 3 || dead[2] != 1 {
+		t.Fatalf("after nodes 2 then 3 lost their connections: silent %v (lost %v), want [2 3 1]", dead, lost)
+	}
+}
+
 // TestNodeKillProducesQueryError kills one node mid-query on a cluster with
 // a fast heartbeat and requires the health plane's post-mortem: the error
 // is a *QueryError naming the victim (even though a survivor's failure may

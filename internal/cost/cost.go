@@ -28,16 +28,18 @@ import (
 
 // Calibration holds measured per-unit costs.
 type Calibration struct {
-	// ANDGatePairNs is the online time to evaluate one AND gate for one
-	// ordered party pair (OT derandomization + share arithmetic).
+	// ANDGatePairNs is the time to evaluate one AND gate for one ordered
+	// party pair (the triple's bulk OT + the opening + share arithmetic).
 	ANDGatePairNs float64
 	// ExpNs is one group exponentiation (ElGamal encrypt ≈ 2 of these).
 	ExpNs float64
 	// RoundLatencyNs is the per-communication-round latency of the GMW
-	// engine (one batched message exchange).
+	// engine: one AND level, a one-way exchange in which every party sends
+	// its batched opening to every peer before receiving theirs.
 	RoundLatencyNs float64
-	// ANDGateBytesPair is the online traffic per AND gate per ordered pair
-	// (3 bits derandomization + framing amortized), in bytes.
+	// ANDGateBytesPair is the traffic per AND gate per ordered pair, in
+	// bytes: 3 bits for the triple's derandomized OT, 2 bits for the
+	// opening (x⊕a, y⊕b), plus framing amortized.
 	ANDGateBytesPair float64
 	// CiphertextBytes is one encoded ElGamal component (compressed point).
 	CiphertextBytes float64

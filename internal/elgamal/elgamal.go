@@ -38,16 +38,21 @@ type PublicKey struct {
 
 	// tab is an optional fixed-base table for H. Encryption raises H to a
 	// fresh full-width ephemeral for every message, so long-lived keys
-	// (the block-certificate keys reused across all iterations) gain a
-	// multi-× speedup from precomputation; see Precompute.
+	// (the block-certificate keys reused across all iterations) encrypt
+	// faster with a table — but only in the modp test group: on the NIST
+	// curves group.Precompute delegates to the native ScalarMult, so the
+	// table saves nothing there; see Precompute.
 	tab *group.FixedBase
 }
 
 // Precompute returns a copy of pk carrying a fixed-base table for H.
 // Encrypt, EncryptWithEphemeral and EncryptMulti use the table when
 // present; the ciphertexts produced are identical to the uncached path
-// (same group elements, same wire encoding), only faster. The table is
-// immutable, so the returned key is safe for concurrent use.
+// (same group elements, same wire encoding). Only the modp test group
+// gets faster: on the NIST curves the table delegates to the curve's
+// constant-time ScalarMult, which costs the same as the uncached path
+// (see internal/group/fixedbase.go). The table is immutable, so the
+// returned key is safe for concurrent use.
 func (pk PublicKey) Precompute() PublicKey {
 	pk.tab = group.Precompute(pk.Group, pk.H)
 	return pk

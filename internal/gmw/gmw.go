@@ -14,20 +14,31 @@
 //
 //   - XOR gates are free: each party XORs its shares locally.
 //   - The public constant 1 is shared as (1,0,…,0).
-//   - An AND gate x∧y expands to ⊕ᵢxᵢyᵢ ⊕ ⊕_{i≠j} xᵢyⱼ. Party i computes
-//     xᵢyᵢ locally; each cross term xᵢyⱼ is computed with one 1-of-2 OT in
-//     which sender i inputs (r, r⊕xᵢ) for fresh random r and receiver j
-//     selects with yⱼ, so the pair obtains an XOR sharing (r, r⊕xᵢyⱼ).
+//   - AND gates consume multiplication triples (Beaver, CRYPTO '91): shared
+//     random bits ⟨a⟩, ⟨b⟩, ⟨c⟩ with c = a∧b. To compute x∧y every party
+//     opens d = x⊕a and e = y⊕b by sending (xᵢ⊕aᵢ, yᵢ⊕bᵢ) to every peer,
+//     then sets zᵢ = cᵢ ⊕ d∧bᵢ ⊕ e∧aᵢ, and party 0 also XORs in d∧e. The
+//     openings reveal nothing: a and b are uniform and each triple is used
+//     once.
+//   - Triples are input-independent, so Evaluate draws all of a circuit's
+//     triples before its first AND level. Party i's share is random aᵢ, bᵢ
+//     and cᵢ = aᵢbᵢ ⊕ the pad shares of its cross terms: each aᵢbⱼ with
+//     i ≠ j is one 1-of-2 OT in which sender i inputs (r, r⊕aᵢ) for fresh
+//     random r and receiver j selects with bⱼ, so the pair obtains an XOR
+//     sharing (r, r⊕aᵢbⱼ). All of an evaluation's cross terms for one
+//     ordered pair run as one bulk OT batch (ALSZ, CCS '13).
 //
-// All AND gates of one multiplicative-depth level are batched into a single
-// message exchange per ordered party pair (the interaction schedule comes
-// from circuit.Rounds), which is what makes the per-step latency of §5.2
-// proportional to circuit depth rather than AND count.
+// All AND gates of one multiplicative-depth level are opened in a single
+// message per ordered party pair (the interaction schedule comes from
+// circuit.Rounds), which is what makes the per-step latency of §5.2
+// proportional to circuit depth rather than AND count. A level is one
+// one-way exchange: every party sends before it receives, and no message
+// of a level depends on another message of the same level.
 //
-// The data plane is packed: wire values live in a []uint64 bitmap, an AND
-// round gathers its operand bits into packed words once, and everything
-// downstream — the local xᵢyᵢ term, the OT pads and derandomization masks,
-// the per-peer share accumulation — is 64-bits-at-a-time word arithmetic
+// The data plane is packed: wire values live in a []uint64 bitmap, the
+// triples are laid out level by level on word boundaries, and an AND level
+// gathers its operand bits into packed words once, after which the
+// openings and the share arithmetic are 64-bits-at-a-time word operations
 // (see internal/ot's packed variants and circuit.PackedRounds).
 //
 // Collusion resistance matches the paper: with k+1 parties, any k colluders
@@ -253,11 +264,18 @@ func (p *Party) Evaluate(ctx context.Context, c *circuit.Circuit, inputShares []
 
 	obs.Add(ctx, "gmw/evals", 1)
 	packed := c.PackedRounds()
+	var t *triples
+	if c.NumAnd > 0 {
+		var err error
+		if t, err = p.genTriples(ctx, packed, evalID); err != nil {
+			return nil, err
+		}
+	}
 	for r, round := range c.Rounds {
 		if len(round.And) > 0 {
 			obs.Add(ctx, "gmw/and_rounds", 1)
 			obs.Add(ctx, "gmw/and_gates", int64(len(round.And)))
-			if err := p.andRound(ctx, vals, &packed[r], evalID, r); err != nil {
+			if err := p.andRound(ctx, vals, &packed[r], t, evalID, r); err != nil {
 				return nil, err
 			}
 		}
@@ -274,23 +292,32 @@ func (p *Party) Evaluate(ctx context.Context, c *circuit.Circuit, inputShares []
 	return out, nil
 }
 
-// andRound evaluates a batch of AND gates with one OT exchange per ordered
-// party pair, entirely on packed words. Each peer direction accumulates
-// into its own buffer; the buffers are XOR-folded after the barrier, so the
-// hot path never contends on a shared accumulator.
-func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedRound, evalID, round int) error {
-	nG := len(pr.Out)
-	nW := ot.Words(nG)
-	xs := make([]uint64, nW) // my shares of the A inputs, gathered
-	ys := make([]uint64, nW) // my shares of the B inputs, gathered
-	for k := range pr.Out {
-		sh := uint(k) & 63
-		xs[k>>6] |= ot.Bit(vals, int(pr.A[k])) << sh
-		ys[k>>6] |= ot.Bit(vals, int(pr.B[k])) << sh
+// triples holds this party's shares of one evaluation's multiplication
+// triples, laid out level by level: the triples of an AND level of width g
+// start at that level's word offset and fill ot.Words(g) words, tail bits
+// zero. Levels are consumed in order, so next is the current offset.
+type triples struct {
+	a, b, c []uint64
+	next    int
+}
+
+// genTriples draws this party's shares of the triples for every AND gate
+// of the packed schedule, with ⊕c = (⊕a)∧(⊕b) across the session. The
+// cross terms come from one bulk OT batch per ordered party pair, run
+// concurrently: each batch blocks on its peer's half, which the peer
+// serves from its own goroutine.
+func (p *Party) genTriples(ctx context.Context, packed []circuit.PackedRound, evalID int) (*triples, error) {
+	n := 0
+	for i := range packed {
+		n += len(packed[i].Out)
 	}
-	acc := make([]uint64, nW)
-	for w := range acc {
-		acc[w] = xs[w] & ys[w] // local diagonal term xᵢyᵢ
+	a, err := ot.RandomWords(n)
+	if err != nil {
+		return nil, fmt.Errorf("gmw: eval %d triple draw: %w", evalID, err)
+	}
+	b, err := ot.RandomWords(n)
+	if err != nil {
+		return nil, fmt.Errorf("gmw: eval %d triple draw: %w", evalID, err)
 	}
 
 	sent := make([][]uint64, p.n) // my pads r, per sender direction
@@ -305,37 +332,36 @@ func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedR
 		}
 		mu.Unlock()
 	}
-
 	for j := 0; j < p.n; j++ {
 		if j == p.me {
 			continue
 		}
 		j := j
 		wg.Add(2)
-		// Sender direction me→j: contribute r, peer learns r ⊕ xs·(their y).
+		// Sender direction me→j: contribute r, peer learns r ⊕ a·(their b).
 		go func() {
 			defer wg.Done()
-			r, err := ot.RandomWords(nG)
+			r, err := ot.RandomWords(n)
 			if err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d pad draw for %d: %w", evalID, round, j, err))
+				record(fmt.Errorf("gmw: eval %d pad draw for %d: %w", evalID, j, err))
 				return
 			}
-			m1 := make([]uint64, nW)
+			m1 := make([]uint64, len(r))
 			for w := range m1 {
-				m1[w] = r[w] ^ xs[w]
+				m1[w] = r[w] ^ a[w]
 			}
-			if err := p.send[j].SendPacked(ctx, r, m1, nG); err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d send to %d: %w", evalID, round, j, err))
+			if err := p.send[j].SendPacked(ctx, r, m1, n); err != nil {
+				record(fmt.Errorf("gmw: eval %d triples to %d: %w", evalID, j, err))
 				return
 			}
 			sent[j] = r
 		}()
-		// Receiver direction j→me: select with my y shares.
+		// Receiver direction j→me: select with my b shares.
 		go func() {
 			defer wg.Done()
-			g, err := p.recv[j].ReceivePacked(ctx, ys, nG)
+			g, err := p.recv[j].ReceivePacked(ctx, b, n)
 			if err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d recv from %d: %w", evalID, round, j, err))
+				record(fmt.Errorf("gmw: eval %d triples from %d: %w", evalID, j, err))
 				return
 			}
 			got[j] = g
@@ -343,18 +369,112 @@ func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedR
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return firstErr
+		return nil, firstErr
+	}
+	c := make([]uint64, len(a))
+	for w := range c {
+		c[w] = a[w] & b[w] // local diagonal term aᵢbᵢ
 	}
 	for j := 0; j < p.n; j++ {
 		if sent[j] != nil {
-			ot.XorInto(acc, sent[j])
+			ot.XorInto(c, sent[j])
 		}
 		if got[j] != nil {
-			ot.XorInto(acc, got[j])
+			ot.XorInto(c, got[j])
 		}
 	}
+
+	// Re-lay the contiguous triples out level by level on word boundaries.
+	words := 0
+	for i := range packed {
+		words += ot.Words(len(packed[i].Out))
+	}
+	t := &triples{a: make([]uint64, words), b: make([]uint64, words), c: make([]uint64, words)}
+	off, pos := 0, 0
+	for i := range packed {
+		g := len(packed[i].Out)
+		extractBits(t.a[off:], a, pos, g)
+		extractBits(t.b[off:], b, pos, g)
+		extractBits(t.c[off:], c, pos, g)
+		off += ot.Words(g)
+		pos += g
+	}
+	return t, nil
+}
+
+// extractBits writes bits [pos, pos+n) of src into dst starting at bit 0,
+// leaving the bits of dst's last word beyond n zero. dst must be zeroed.
+func extractBits(dst, src []uint64, pos, n int) {
+	base, sh := pos>>6, uint(pos&63)
+	for w := 0; w < ot.Words(n); w++ {
+		v := src[base+w] >> sh
+		if sh != 0 && base+w+1 < len(src) {
+			v |= src[base+w+1] << (64 - sh)
+		}
+		dst[w] = v
+	}
+	ot.MaskTail(dst[:ot.Words(n)], n)
+}
+
+// andRound evaluates one level of AND gates with one message per ordered
+// party pair: this party opens its masked operands x⊕a ‖ y⊕b to every
+// peer, folds the peers' openings into d = x⊕a and e = y⊕b, and derives its
+// output shares from the next triples. Sends never block, so the level
+// needs no goroutines.
+func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedRound, t *triples, evalID, round int) error {
+	nG := len(pr.Out)
+	nW := ot.Words(nG)
+	a, b, c := t.a[t.next:t.next+nW], t.b[t.next:t.next+nW], t.c[t.next:t.next+nW]
+	t.next += nW
+
+	// de holds my masked operands x⊕a then y⊕b; it becomes the opened d, e.
+	de := make([]uint64, 2*nW)
+	d, e := de[:nW], de[nW:]
+	for k := range pr.Out {
+		sh := uint(k) & 63
+		d[k>>6] |= ot.Bit(vals, int(pr.A[k])) << sh
+		e[k>>6] |= ot.Bit(vals, int(pr.B[k])) << sh
+	}
+	ot.XorInto(d, a)
+	ot.XorInto(e, b)
+
+	nb := (nG + 7) / 8
+	payload := append(ot.WordsToBytes(d, nG), ot.WordsToBytes(e, nG)...)
+	tag := network.Tag(p.cfg.Tag, "and", evalID, round)
+	for j := 0; j < p.n; j++ {
+		if j == p.me {
+			continue
+		}
+		if err := p.ep.Send(p.cfg.Parties[j], tag, payload); err != nil {
+			return fmt.Errorf("gmw: eval %d round %d open to %d: %w", evalID, round, j, err)
+		}
+	}
+	for j := 0; j < p.n; j++ {
+		if j == p.me {
+			continue
+		}
+		msg, err := p.ep.Recv(ctx, p.cfg.Parties[j], tag)
+		if err != nil {
+			return fmt.Errorf("gmw: eval %d round %d open from %d: %w", evalID, round, j, err)
+		}
+		if len(msg) != 2*nb {
+			return fmt.Errorf("gmw: eval %d round %d: opening from %d has %d bytes, want %d",
+				evalID, round, j, len(msg), 2*nb)
+		}
+		ot.XorInto(d, ot.BytesToWords(msg[:nb], nG))
+		ot.XorInto(e, ot.BytesToWords(msg[nb:], nG))
+	}
+
+	// The triple is spent: its c words become this party's output shares.
+	for w := range c {
+		z := c[w] ^ d[w]&b[w] ^ e[w]&a[w]
+		if p.me == 0 {
+			z ^= d[w] & e[w]
+		}
+		c[w] = z
+	}
 	for k, w := range pr.Out {
-		ot.SetBit(vals, int(w), ot.Bit(acc, k))
+		ot.SetBit(vals, int(w), ot.Bit(c, k))
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package network
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -500,14 +501,31 @@ func (e *Endpoint) Exchange(ctx context.Context, peer NodeID, tag string, payloa
 }
 
 // Tag builds a hierarchical tag from parts; a helper so protocol layers
-// construct collision-free namespaces.
+// construct collision-free namespaces. Strings and integers are appended
+// directly (tags are built on every protocol round); any other part is
+// formatted with fmt.Sprint, so the result always equals the parts'
+// fmt.Sprint forms joined by "/".
 func Tag(parts ...interface{}) string {
-	s := ""
+	var buf [64]byte
+	b := buf[:0]
 	for i, p := range parts {
 		if i > 0 {
-			s += "/"
+			b = append(b, '/')
 		}
-		s += fmt.Sprint(p)
+		switch v := p.(type) {
+		case string:
+			b = append(b, v...)
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		case int64:
+			b = strconv.AppendInt(b, v, 10)
+		case uint64:
+			b = strconv.AppendUint(b, v, 10)
+		case NodeID:
+			b = strconv.AppendInt(b, int64(v), 10)
+		default:
+			b = fmt.Append(b, v)
+		}
 	}
-	return s
+	return string(b)
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -171,6 +172,39 @@ func TestConcurrentManySenders(t *testing.T) {
 func TestTagHelper(t *testing.T) {
 	if got := Tag("gmw", 3, "round", 7); got != "gmw/3/round/7" {
 		t.Errorf("Tag = %q", got)
+	}
+}
+
+// tagRef is Tag as first written: every part through fmt.Sprint.
+func tagRef(parts ...interface{}) string {
+	s := ""
+	for i, p := range parts {
+		if i > 0 {
+			s += "/"
+		}
+		s += fmt.Sprint(p)
+	}
+	return s
+}
+
+type tagStringer struct{ v int }
+
+func (s tagStringer) String() string { return fmt.Sprintf("S<%d>", s.v) }
+
+func TestTagMatchesSprint(t *testing.T) {
+	cases := [][]interface{}{
+		nil,
+		{""},
+		{"q", 7, "blk", 3, "ot", 0, 1, "derand", 9},
+		{"x", -1, int64(-1 << 62), int64(1<<63 - 1), uint64(1<<64 - 1), uint64(0)},
+		{NodeID(0), NodeID(-5), NodeID(1<<31 - 1)},
+		{"a/b", 1.5, true, int32(4), uint8(200), tagStringer{3}, []int{1, 2}, nil},
+		{strings.Repeat("long", 40), 123456789},
+	}
+	for _, parts := range cases {
+		if got, want := Tag(parts...), tagRef(parts...); got != want {
+			t.Errorf("Tag(%#v) = %q, want %q", parts, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package ot
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"crypto/rand"
+	"encoding/binary"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -252,5 +255,49 @@ func TestPackedChosenOTMatchesLegacy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// crhBitRef is the correlation-robust hash as first written: scratch
+// blocks on the stack, which escape through cipher.Block.
+func crhBitRef(block cipher.Block, idx uint64, row []byte) uint8 {
+	var buf [16]byte
+	copy(buf[:], row)
+	var ib [8]byte
+	binary.LittleEndian.PutUint64(ib[:], idx)
+	for i := 0; i < 8; i++ {
+		buf[i] ^= ib[i]
+	}
+	var out [16]byte
+	block.Encrypt(out[:], buf[:])
+	return (out[0] ^ buf[0]) & 1
+}
+
+func TestCRHMatchesReference(t *testing.T) {
+	h := newCRH()
+	rng := mrand.New(mrand.NewSource(5))
+	row := make([]byte, Lambda/8)
+	for i := 0; i < 4096; i++ {
+		rng.Read(row)
+		idx := rng.Uint64()
+		if i < 64 {
+			idx = uint64(i) // the small counters IKNP actually hashes
+		}
+		if got, want := h.bit(idx, row), crhBitRef(h.block, idx, row); got != want {
+			t.Fatalf("row %x idx %d: crh bit %d, reference %d", row, idx, got, want)
+		}
+	}
+}
+
+func TestCRHAllocationFree(t *testing.T) {
+	h := newCRH()
+	var row [Lambda / 8]byte
+	idx := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		row[0] ^= h.bit(idx, row[:])
+		idx++
+	})
+	if allocs != 0 {
+		t.Errorf("crh.bit allocates %.1f times per call, want 0", allocs)
 	}
 }

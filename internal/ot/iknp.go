@@ -48,26 +48,30 @@ const extChunk = 2048
 // public constant works; this spells "dstress-iknp-crh".
 var hashKey = []byte("dstress-iknp-crh")
 
-func newCRH() cipher.Block {
+// crh is the fixed-key AES correlation-robust hash. It owns its scratch
+// blocks: slices of stack arrays escape through the cipher.Block interface,
+// so a hash over locals would cost two heap allocations per OT. Like the
+// IKNP endpoint that holds it, a crh is not safe for concurrent use.
+type crh struct {
+	block    cipher.Block
+	buf, out [16]byte
+}
+
+func newCRH() *crh {
 	b, err := aes.NewCipher(hashKey)
 	if err != nil {
 		panic(err) //dstress:panic-ok — fixed 16-byte key, cannot fail
 	}
-	return b
+	return &crh{block: b}
 }
 
-// crhBit hashes a 16-byte row with its index and returns a single pad bit.
-func crhBit(crh cipher.Block, idx uint64, row []byte) uint8 {
-	var buf [16]byte
-	copy(buf[:], row)
-	var ib [8]byte
-	binary.LittleEndian.PutUint64(ib[:], idx)
-	for i := 0; i < 8; i++ {
-		buf[i] ^= ib[i]
-	}
-	var out [16]byte
-	crh.Encrypt(out[:], buf[:])
-	return (out[0] ^ buf[0]) & 1
+// bit hashes a 16-byte row with its index and returns a single pad bit:
+// lsb(AES_k(row ⊕ idx) ⊕ row ⊕ idx).
+func (h *crh) bit(idx uint64, row []byte) uint8 {
+	copy(h.buf[:], row)
+	binary.LittleEndian.PutUint64(h.buf[:8], binary.LittleEndian.Uint64(h.buf[:8])^idx)
+	h.block.Encrypt(h.out[:], h.buf[:])
+	return (h.out[0] ^ h.buf[0]) & 1
 }
 
 // prg wraps AES-CTR as a deterministic byte stream.
@@ -140,7 +144,7 @@ type IKNPSender struct {
 	tag     string
 	sPacked [Lambda / 8]byte // λ base-OT choice bits, packed
 	prgs    []*prg           // PRG(k_{s_j})
-	crh     cipher.Block
+	crh     *crh
 	chunk   int
 	ctr     uint64
 
@@ -226,8 +230,8 @@ func (s *IKNPSender) extend(ctx context.Context) error {
 			row1[k] = row[k] ^ s.sPacked[k]
 		}
 		idx := s.ctr + uint64(i)
-		chunk0[i>>6] |= uint64(crhBit(s.crh, idx, row)) << (uint(i) & 63)
-		chunk1[i>>6] |= uint64(crhBit(s.crh, idx, row1[:])) << (uint(i) & 63)
+		chunk0[i>>6] |= uint64(s.crh.bit(idx, row)) << (uint(i) & 63)
+		chunk1[i>>6] |= uint64(s.crh.bit(idx, row1[:])) << (uint(i) & 63)
 	}
 	s.buf0.push(chunk0, m)
 	s.buf1.push(chunk1, m)
@@ -247,7 +251,7 @@ type IKNPReceiver struct {
 	tag   string
 	prg0s []*prg // PRG(k0_j)
 	prg1s []*prg // PRG(k1_j)
-	crh   cipher.Block
+	crh   *crh
 	chunk int
 	ctr   uint64
 
@@ -323,7 +327,7 @@ func (r *IKNPReceiver) extend(ctx context.Context) error {
 	chunkW := make([]uint64, m/64)
 	for i := 0; i < m; i++ {
 		row := rows[i*(Lambda/8) : (i+1)*(Lambda/8)]
-		chunkW[i>>6] |= uint64(crhBit(r.crh, r.ctr+uint64(i), row)) << (uint(i) & 63)
+		chunkW[i>>6] |= uint64(r.crh.bit(r.ctr+uint64(i), row)) << (uint(i) & 63)
 	}
 	r.bufRho.push(BytesToWords(rhoPacked, m), m)
 	r.bufW.push(chunkW, m)

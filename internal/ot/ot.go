@@ -1,11 +1,13 @@
 // Package ot implements oblivious transfer, the interaction primitive
 // behind GMW's AND gates.
 //
-// In GMW, evaluating an AND gate over XOR-shared bits requires each ordered
-// pair of parties (i, j) to run one 1-of-2 bit OT: party i (the sender)
-// inputs two bits derived from its share, party j (the receiver) selects one
-// of them with its own share without revealing which, and learns nothing
-// about the other. The paper's prototype uses the GMW implementation of
+// In GMW, every AND gate over XOR-shared bits consumes one multiplication
+// triple, and building a triple takes one 1-of-2 bit OT per ordered pair of
+// parties (i, j): party i (the sender) inputs two bits derived from its
+// random triple share, party j (the receiver) selects one of them with its
+// own share without revealing which, and learns nothing about the other.
+// The triples are input-independent, so GMW runs all of an evaluation's
+// OTs for one pair as a single batch. The paper's prototype uses the GMW implementation of
 // Choi et al. with the oblivious-transfer extensions of Ishai et al. as an
 // optimization (§5.3); this package provides the same stack:
 //
@@ -115,8 +117,10 @@ func (s *BitSender) SendPacked(ctx context.Context, m0, m1 []uint64, n int) erro
 	if err != nil {
 		return err
 	}
-	// One derandomization batch per SendPacked: the sender side counts the
-	// batch so sim runs (both directions in-process) don't double-count.
+	// One derandomization batch per SendPacked — GMW runs one per
+	// evaluation per ordered pair, for all of the evaluation's triples. The
+	// sender side counts the batch so sim runs (both directions
+	// in-process) don't double-count.
 	obs.Add(ctx, "ot/derand_batches", 1)
 	obs.Add(ctx, "ot/derand_bits", int64(n))
 	tag := network.Tag(s.tag, "derand", s.seq)

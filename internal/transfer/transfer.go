@@ -181,7 +181,9 @@ type RecipientKeys [][]elgamal.PublicKey
 // Precompute returns a copy of the certificate keys with fixed-base
 // tables attached: every sender-side h^y then runs through the table
 // instead of a cold exponentiation. The ciphertexts are identical to the
-// uncached path, so the wire format is unchanged. Building the tables
+// uncached path, so the wire format is unchanged. The tables only speed up
+// the modp test group; on the NIST curves they delegate to the native
+// ScalarMult and cost what the uncached path costs. Building a modp table
 // costs roughly a hundred exponentiations per key; see
 // Params.PrecomputeWorthwhile for when a runtime should bother.
 func (rk RecipientKeys) Precompute() RecipientKeys {
@@ -197,8 +199,11 @@ func (rk RecipientKeys) Precompute() RecipientKeys {
 
 // PrecomputeWorthwhile reports whether building fixed-base tables for a
 // block certificate pays for itself when each key will be encrypted under
-// `uses` times over the run: a table build costs on the order of a
-// hundred uncached exponentiations. The use count depends on who holds
+// `uses` times over the run: a modp table build costs on the order of a
+// hundred uncached exponentiations. (On the NIST curves a table neither
+// costs nor saves anything, since it delegates to the native ScalarMult;
+// the threshold is tuned for the modp group, the only one it speeds up.)
+// The use count depends on who holds
 // the cache — the simulated runtime plays all K+1 senders against one
 // cache ((K+1)·iterations uses per key), while a cluster node is a
 // single sender (iterations uses). Short runs skip precomputation so
