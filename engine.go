@@ -512,7 +512,11 @@ func summaryReport(sum *cluster.Summary, nodes int) *Report {
 		aggB += rep.AggBytes
 		out.Iterations = rep.Iterations
 		out.UpdateAndGates = rep.UpdateAndGates
-		out.AggAndGates = rep.AggAndGates
+		// Only aggregation-block members compile the aggregate circuit;
+		// the other nodes report 0.
+		if rep.AggAndGates > out.AggAndGates {
+			out.AggAndGates = rep.AggAndGates
+		}
 		if rep.ReplayedBarriers > out.ReplayedBarriers {
 			out.ReplayedBarriers = rep.ReplayedBarriers
 		}

@@ -94,6 +94,14 @@ func TestEngineBothBackends(t *testing.T) {
 			if rep.Iterations != job.Iterations {
 				t.Errorf("report iterations = %d, want %d", rep.Iterations, job.Iterations)
 			}
+			prog := dstress.ENProgram(cfg, job.Spec.GranularityDollars, job.Spec.Leverage)
+			agg, err := prog.AggregateCircuit(rep.Nodes, dstress.NoiseSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.AggAndGates != agg.NumAnd {
+				t.Errorf("report AggAndGates = %d, want %d", rep.AggAndGates, agg.NumAnd)
+			}
 		})
 	}
 }

@@ -796,30 +796,43 @@ func (e *engine) createSessions(ctx context.Context, run *nodeRun) error {
 }
 
 // nodeAggPlan bundles the ε-dependent half of a query: the noise spec and
-// the compiled flat-aggregation circuit (tree roots compile per query).
+// the flat-aggregation circuit (tree roots compile per query). The circuit
+// is compiled on first use by aggCircuit: only the k+1 aggregation-block
+// members evaluate it, so the other nodes never pay for it.
 type nodeAggPlan struct {
 	noise vertex.NoiseSpec
-	circ  *circuit.Circuit
+
+	once sync.Once
+	circ *circuit.Circuit
+	err  error
 }
 
-// planFor returns (compiling and caching on first use) the aggregation plan
+// planFor returns (creating and caching on first use) the aggregation plan
 // for the given privacy budget. Safe for overlapping jobs.
-func (e *engine) planFor(epsilon float64) (*nodeAggPlan, error) {
+func (e *engine) planFor(epsilon float64) *nodeAggPlan {
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if pl, ok := e.aggPlans[epsilon]; ok {
-		return pl, nil
+		return pl
 	}
 	pl := &nodeAggPlan{}
 	if epsilon > 0 {
 		pl.noise = vertex.DefaultNoiseSpec(epsilon, e.prog.Sensitivity, e.cfg.NoiseShift)
 	}
-	var err error
-	if pl.circ, err = e.prog.AggregateCircuit(e.graph.N(), pl.noise); err != nil {
-		return nil, err
-	}
 	e.aggPlans[epsilon] = pl
-	return pl, nil
+	return pl
+}
+
+// aggCircuit returns the plan's flat-aggregation circuit, compiling it on
+// the first call; the compile shows as an "init/agg_circuit" span. Only
+// aggregation-block members call it.
+func (e *engine) aggCircuit(ctx context.Context, pl *nodeAggPlan) (*circuit.Circuit, error) {
+	pl.once.Do(func() {
+		t0 := time.Now()
+		pl.circ, pl.err = e.prog.AggregateCircuit(e.graph.N(), pl.noise)
+		obs.From(ctx).SpanDur("init/agg_circuit", t0, time.Since(t0))
+	})
+	return pl.circ, pl.err
 }
 
 // tagUnderRoot reports whether tag prefix belongs to the query rooted at
@@ -1178,10 +1191,7 @@ func (e *engine) runJob(ctx context.Context, req runReq, res *NodeResult) error 
 	if iterations < 0 {
 		return fmt.Errorf("cluster: negative iteration count %d", iterations)
 	}
-	plan, err := e.planFor(job.Cfg.Epsilon)
-	if err != nil {
-		return err
-	}
+	plan := e.planFor(job.Cfg.Epsilon)
 	run := &nodeRun{
 		root:       network.Tag("q", job.Seq),
 		inits:      make(map[int]int64),
@@ -1232,7 +1242,15 @@ func (e *engine) runJob(ctx context.Context, req runReq, res *NodeResult) error 
 	rep := &vertex.Report{
 		Iterations:     iterations,
 		UpdateAndGates: e.updCirc.NumAnd,
-		AggAndGates:    plan.circ.NumAnd,
+	}
+	// Recovery rewrites aggIdx only between runs, so a replacement adopted
+	// into the aggregation block compiles here on its resumed attempt.
+	if e.aggIdx >= 0 {
+		circ, err := e.aggCircuit(ctx, plan)
+		if err != nil {
+			return err
+		}
+		rep.AggAndGates = circ.NumAnd
 	}
 	// A cluster node is a single sender, so each certificate key it
 	// caches is used once per iteration; uses accumulate across the
@@ -1678,7 +1696,11 @@ func (e *engine) aggregate(ctx context.Context, run *nodeRun, plan *nodeAggPlan)
 		return 0, false, err
 	}
 	input = append(input, noiseBits...)
-	outShares, err := run.aggParty.Evaluate(ctx, plan.circ, input)
+	circ, err := e.aggCircuit(ctx, plan)
+	if err != nil {
+		return 0, false, err
+	}
+	outShares, err := run.aggParty.Evaluate(ctx, circ, input)
 	if err != nil {
 		return 0, false, err
 	}

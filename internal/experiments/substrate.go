@@ -58,6 +58,6 @@ func OTSubstrateSetup(o Options) *Table {
 	t.Notes = append(t.Notes,
 		"handshakes = ordered node pairs sharing ≥1 session; a pair in B blocks bootstraps once, not B times",
 		"per-session equiv = sessions × k(k+1), the public-key cost before the substrate",
-		"each handshake is 2λ = 256 DH base OTs; sessions derive independent extension streams via AES(seed, H(tag))")
+		"each handshake is λ = 128 Chou–Orlandi base OTs per direction; sessions derive independent extension streams via AES(seed, H(tag))")
 	return t
 }

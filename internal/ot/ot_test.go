@@ -46,44 +46,6 @@ func TestQuickPackBits(t *testing.T) {
 	}
 }
 
-func TestBaseOT(t *testing.T) {
-	net := network.New()
-	const count = 16
-	choices := randBits(count)
-	var k0, k1, ks [][]byte
-	var sendErr, recvErr error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		k0, k1, sendErr = BaseOTSend(context.Background(), tg, net.Endpoint(1), 2, "bot", count)
-	}()
-	go func() {
-		defer wg.Done()
-		ks, recvErr = BaseOTReceive(context.Background(), tg, net.Endpoint(2), 1, "bot", choices)
-	}()
-	wg.Wait()
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("errors: %v / %v", sendErr, recvErr)
-	}
-	for j := 0; j < count; j++ {
-		want := k0[j]
-		other := k1[j]
-		if choices[j] == 1 {
-			want, other = other, want
-		}
-		if !bytes.Equal(ks[j], want) {
-			t.Errorf("instance %d: receiver seed does not match chosen branch", j)
-		}
-		if bytes.Equal(ks[j], other) {
-			t.Errorf("instance %d: receiver seed equals unchosen branch", j)
-		}
-		if bytes.Equal(k0[j], k1[j]) {
-			t.Errorf("instance %d: both seeds identical", j)
-		}
-	}
-}
-
 // setupIKNP builds a connected sender/receiver pair over a fresh network.
 func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
 	t.Helper()

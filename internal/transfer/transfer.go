@@ -387,15 +387,29 @@ func RunAdjust(ctx context.Context, p Params, ep network.Transport, relay networ
 		return err
 	}
 	for m := 0; m <= p.K; m++ {
-		bd, rest, err := p.decodeBundle(data)
+		// Only the ephemeral is adjusted, so only it is decoded; the L C2
+		// chunks are forwarded verbatim and the member's ReceiveShare
+		// validates them when it decodes the bundle.
+		chunk, rest, err := splitChunk(data)
 		if err != nil {
 			return fmt.Errorf("transfer: decoding aggregate %d: %w", m, err)
+		}
+		c1, err := g.Decode(chunk)
+		if err != nil {
+			return fmt.Errorf("transfer: decoding aggregate %d: bad ephemeral: %w", m, err)
+		}
+		c2 := rest
+		for i := 0; i < p.L; i++ {
+			if _, rest, err = splitChunk(rest); err != nil {
+				return fmt.Errorf("transfer: decoding aggregate %d: %w", m, err)
+			}
 		}
 		data = rest
 		// One exponentiation adjusts the whole bundle: the Kurosawa
 		// optimization shares C1 across the L bit positions.
-		bd.C1 = g.ScalarMul(bd.C1, neighborKey)
-		if err := ep.Send(members[m], network.Tag(tag, "out"), p.encodeBundle(bd)); err != nil {
+		out := appendChunk(nil, g.Encode(g.ScalarMul(c1, neighborKey)))
+		out = append(out, c2[:len(c2)-len(rest)]...)
+		if err := ep.Send(members[m], network.Tag(tag, "out"), out); err != nil {
 			return err
 		}
 	}

@@ -17,7 +17,8 @@
 //     assignment reveals nothing about edges.
 //  3. For each node i and each slot j ≤ D, the TP builds a block
 //     certificate containing the public keys of B_i's members re-randomized
-//     with n_j (h ↦ h^{n_j}) and signs it. Node i forwards its j-th
+//     with n_j (h ↦ h^{n_j}) and signs it; the N·D certificates are issued
+//     in parallel, each into its own slot. Node i forwards its j-th
 //     certificate to its j-th neighbor (discarding leftovers if it has
 //     fewer than D neighbors, so neighbors cannot be counted); the neighbor
 //     hands it to the members of its own block, identified only as "the
@@ -37,7 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"dstress/internal/elgamal"
 	"dstress/internal/group"
@@ -224,34 +228,81 @@ func (tp *TrustedParty) Setup(regs []NodeRegistration) (*SetupResult, error) {
 		return nil, err
 	}
 
-	// Block certificates: for node i, certificate j re-randomizes every key
-	// of every member of B_i with i's j-th neighbor key.
-	for _, id := range ids {
-		reg := byID[id]
-		members := result.Assignment.Blocks[id]
-		certs := make([]BlockCert, p.D)
-		for j := 0; j < p.D; j++ {
-			nk := reg.NeighborKeys[j]
-			keys := make([][]elgamal.PublicKey, len(members))
-			for m, member := range members {
-				mreg, ok := byID[member]
-				if !ok {
-					return nil, fmt.Errorf("trustedparty: member %d not registered", member)
-				}
-				keys[m] = make([]elgamal.PublicKey, p.L)
-				for b := 0; b < p.L; b++ {
-					keys[m][b] = mreg.PublicKeys[b].Randomize(nk)
-				}
-			}
-			sig, err := tp.sign(certDigest(p.Group, keys))
-			if err != nil {
-				return nil, err
-			}
-			certs[j] = BlockCert{Keys: keys, Sig: sig}
-		}
-		result.Certs[id] = certs
+	if err := tp.issueCerts(result.Certs, ids, result.Assignment.Blocks, byID); err != nil {
+		return nil, err
 	}
 	return result, nil
+}
+
+// issueCerts stores in dst the D block certificates of every owner:
+// certificate j of owner i holds every key of every member of blocks[i],
+// re-randomized with i's j-th registered neighbor key, and the TP's
+// signature over them.
+// The N·D·(k+1)·L exponentiations dominate setup, so the (owner, j)
+// certificates are issued over GOMAXPROCS workers, each writing its own
+// slot; the result does not depend on the schedule.
+func (tp *TrustedParty) issueCerts(dst map[network.NodeID][]BlockCert, owners []network.NodeID, blocks map[network.NodeID][]network.NodeID, byID map[network.NodeID]NodeRegistration) error {
+	p := tp.params
+	certs := make([][]BlockCert, len(owners))
+	for o, id := range owners {
+		if _, ok := byID[id]; !ok {
+			return fmt.Errorf("trustedparty: no registration retained for node %d, cannot issue certificates", id)
+		}
+		for _, member := range blocks[id] {
+			if _, ok := byID[member]; !ok {
+				return fmt.Errorf("trustedparty: member %d not registered", member)
+			}
+		}
+		certs[o] = make([]BlockCert, p.D)
+	}
+
+	issue := func(o, j int) error {
+		nk := byID[owners[o]].NeighborKeys[j]
+		members := blocks[owners[o]]
+		keys := make([][]elgamal.PublicKey, len(members))
+		for m, member := range members {
+			keys[m] = make([]elgamal.PublicKey, p.L)
+			pks := byID[member].PublicKeys
+			for b := range keys[m] {
+				keys[m][b] = pks[b].Randomize(nk)
+			}
+		}
+		sig, err := tp.sign(certDigest(p.Group, keys))
+		if err != nil {
+			return err
+		}
+		certs[o][j] = BlockCert{Keys: keys, Sig: sig}
+		return nil
+	}
+	jobs := len(owners) * p.D
+	workers := min(runtime.GOMAXPROCS(0), jobs)
+	var next atomic.Int64
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= jobs {
+					return
+				}
+				if err := issue(i/p.D, i%p.D); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for o, id := range owners {
+		dst[id] = certs[o]
+	}
+	return nil
 }
 
 // ErrNoReplacement reports a death the recovery protocol cannot survive:
@@ -327,7 +378,6 @@ func ReplacementOK(a Assignment, dead, repl network.NodeID) bool {
 // certificates are re-randomized with dead's neighbor keys, which the TP
 // retains from registration).
 func (tp *TrustedParty) Reblock(prev *SetupResult, regs []NodeRegistration, dead, repl network.NodeID) (*SetupResult, error) {
-	p := tp.params
 	if !ReplacementOK(prev.Assignment, dead, repl) {
 		return nil, fmt.Errorf("trustedparty: node %d cannot replace node %d (already a co-member)", repl, dead)
 	}
@@ -378,42 +428,22 @@ func (tp *TrustedParty) Reblock(prev *SetupResult, regs []NodeRegistration, dead
 		return nil, err
 	}
 
+	// Re-issue the changed blocks' certificates with the same construction
+	// as Setup, under the new membership. The block key (and hence the
+	// neighbor keys used for re-randomization) stays the original owner's —
+	// for dead's own block that means dead's registered neighbor keys, which
+	// repl receives during recovery so it can adjust incoming transfers for
+	// the adopted vertex.
+	var reissue []network.NodeID
 	for id, certs := range prev.Certs {
-		if !changedBlocks[id] {
+		if changedBlocks[id] {
+			reissue = append(reissue, id)
+		} else {
 			next.Certs[id] = certs
-			continue
 		}
-		// Re-issue: same construction as Setup, with the new membership. The
-		// block key (and hence the neighbor keys used for re-randomization)
-		// stays the original owner's — for dead's own block that means dead's
-		// registered neighbor keys, which repl receives during recovery so it
-		// can adjust incoming transfers for the adopted vertex.
-		reg, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("trustedparty: no registration retained for node %d, cannot re-issue certificates", id)
-		}
-		members := next.Assignment.Blocks[id]
-		fresh := make([]BlockCert, p.D)
-		for j := 0; j < p.D; j++ {
-			nk := reg.NeighborKeys[j]
-			keys := make([][]elgamal.PublicKey, len(members))
-			for m, member := range members {
-				mreg, ok := byID[member]
-				if !ok {
-					return nil, fmt.Errorf("trustedparty: member %d not registered", member)
-				}
-				keys[m] = make([]elgamal.PublicKey, p.L)
-				for b := 0; b < p.L; b++ {
-					keys[m][b] = mreg.PublicKeys[b].Randomize(nk)
-				}
-			}
-			sig, err := tp.sign(certDigest(p.Group, keys))
-			if err != nil {
-				return nil, err
-			}
-			fresh[j] = BlockCert{Keys: keys, Sig: sig}
-		}
-		next.Certs[id] = fresh
+	}
+	if err := tp.issueCerts(next.Certs, reissue, next.Assignment.Blocks, byID); err != nil {
+		return nil, err
 	}
 	return next, nil
 }

@@ -15,7 +15,7 @@ func testParams() Params {
 }
 
 // runSetup registers n nodes and runs the TP, returning everything.
-func runSetup(t *testing.T, p Params, n int) (*SetupResult, []NodeRegistration, []NodeSecrets) {
+func runSetup(t testing.TB, p Params, n int) (*SetupResult, []NodeRegistration, []NodeSecrets) {
 	t.Helper()
 	regs := make([]NodeRegistration, n)
 	secs := make([]NodeSecrets, n)
@@ -240,5 +240,65 @@ func TestSetupErrors(t *testing.T) {
 	regBad.PublicKeys = regBad.PublicKeys[:1]
 	if _, err := tp.Setup([]NodeRegistration{reg1, reg2, regBad}); err == nil {
 		t.Error("registration with wrong key count accepted")
+	}
+}
+
+// TestParallelSetupP256 runs the worker-pool certificate issuance at a
+// benchmark-like size on a NIST curve: every (node, j) slot must hold a
+// validly signed certificate built from that node's j-th neighbor key and
+// its block members in block order.
+func TestParallelSetupP256(t *testing.T) {
+	g := group.P256()
+	p := Params{Group: g, K: 1, D: 3, L: 12}
+	const n = 16
+	res, regs, secs := runSetup(t, p, n)
+	regByID := map[network.NodeID]NodeRegistration{}
+	for _, r := range regs {
+		regByID[r.ID] = r
+	}
+	if len(res.Certs) != n {
+		t.Fatalf("certificates for %d nodes, want %d", len(res.Certs), n)
+	}
+	for idx, r := range regs {
+		members := res.Assignment.Blocks[r.ID]
+		memberKeys := make([][]elgamal.PublicKey, len(members))
+		for m, member := range members {
+			memberKeys[m] = regByID[member].PublicKeys
+		}
+		if len(res.Certs[r.ID]) != p.D {
+			t.Fatalf("node %d has %d certs, want %d", r.ID, len(res.Certs[r.ID]), p.D)
+		}
+		for j, c := range res.Certs[r.ID] {
+			if !VerifyCert(res.VerifyKey, g, c) {
+				t.Errorf("node %d cert %d: signature rejected", r.ID, j)
+			}
+			if !CheckCertMatches(g, c, memberKeys, secs[idx].NeighborKeys[j]) {
+				t.Errorf("node %d cert %d does not match its neighbor key", r.ID, j)
+			}
+		}
+	}
+}
+
+// BenchmarkSetupP256 times one trusted-party setup at the en-* benchmark
+// shape (N = 8, D = 4, k = 1, L = 32) on P-256.
+func BenchmarkSetupP256(b *testing.B) {
+	p := Params{Group: group.P256(), K: 1, D: 4, L: 32}
+	const n = 8
+	regs := make([]NodeRegistration, n)
+	for i := range regs {
+		var err error
+		if regs[i], _, err = RegisterNode(p, network.NodeID(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tp, err := New(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tp.Setup(regs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
