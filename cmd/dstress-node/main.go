@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"dstress/internal/cluster"
 	"dstress/internal/network"
@@ -113,7 +112,7 @@ func main() {
 		}
 		if *chaosBarrier >= 0 {
 			nodeID := *id
-			opts.Chaos = &cluster.NodeChaos{
+			opts.Chaos = &vertex.Chaos{
 				Barrier: *chaosBarrier,
 				Kill: func() {
 					slog.Warn("chaos: exiting process", "node", nodeID)
@@ -161,9 +160,19 @@ func main() {
 			fatal("coordinator run failed", "err", err)
 		}
 		released := cluster.DecodeDollars(sc, sum.Result)
-		writeRunDump(*flightDump, sc, sum, released, exactTDS)
-		fmt.Printf("exact TDS (trusted baseline): $%.2fM\n", exactTDS/1e6)
-		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, released/1e6)
+		reference := referenceDollars(sc)
+		writeRunDump(*flightDump, sum, released, reference, exactTDS)
+		// The trusted baseline is the exact circuits the MPC evaluates, run
+		// in plaintext for the same I: at ε = 0 the release equals it. The
+		// converged solver differs from it by iteration truncation alone.
+		tds := func(label string, dollars float64, note string) {
+			fmt.Printf("%-40s $%.2fM%s\n", label+":", dollars/1e6, note)
+		}
+		tds(fmt.Sprintf("reference TDS (trusted baseline, I=%d)", sc.Iterations), reference, "")
+		tds(fmt.Sprintf("released TDS (ε=%v)", *epsilon), released,
+			fmt.Sprintf("  (noise %+.2fM)", (released-reference)/1e6))
+		tds("converged solver TDS", exactTDS,
+			fmt.Sprintf("  (truncation at I=%d: %+.2fM)", sc.Iterations, (reference-exactTDS)/1e6))
 		if sum.Recoveries > 0 {
 			fmt.Printf("recoveries: survived %d node death(s) by re-blocking\n", sum.Recoveries)
 		}
@@ -183,38 +192,18 @@ func main() {
 				nodeID, rep.InitTime.Round(1e6), rep.ComputeTime.Round(1e6),
 				rep.CommTime.Round(1e6), rep.AggTime.Round(1e6), st.BytesSent)
 		}
-		printStragglers(sum, ids)
+		// Every phase barriers on the protocol's own communication, so
+		// each phase's wall time is its slowest node's.
+		fmt.Printf("\nslowest node per phase:")
+		folded := vertex.FoldReports(sum.Reports, sum.Stats)
+		for _, l := range folded.SlowestNodes() {
+			fmt.Printf(" %s=%d (%v)", l.Phase, l.Node, l.Time.Round(1e6))
+		}
+		fmt.Println()
 
 	default:
 		fatal("unknown -mode (want node or coordinator)", "mode", *mode)
 	}
-}
-
-// printStragglers names the slowest node per phase: every phase barriers on
-// the protocol's own communication, so the folded phase times above are
-// exactly these nodes' wall times.
-func printStragglers(sum *cluster.Summary, ids []int) {
-	phases := []struct {
-		name string
-		get  func(network.NodeID) time.Duration
-	}{
-		{"init", func(id network.NodeID) time.Duration { return sum.Reports[id].InitTime }},
-		{"compute", func(id network.NodeID) time.Duration { return sum.Reports[id].ComputeTime }},
-		{"transfer", func(id network.NodeID) time.Duration { return sum.Reports[id].CommTime }},
-		{"agg+noise", func(id network.NodeID) time.Duration { return sum.Reports[id].AggTime }},
-	}
-	fmt.Printf("\nslowest node per phase:")
-	for _, ph := range phases {
-		var worst int
-		var worstT time.Duration
-		for _, nodeID := range ids {
-			if t := ph.get(network.NodeID(nodeID)); t > worstT {
-				worstT, worst = t, nodeID
-			}
-		}
-		fmt.Printf(" %s=%d (%v)", ph.name, worst, worstT.Round(1e6))
-	}
-	fmt.Println()
 }
 
 // setupLogging installs a text slog handler at the requested level as the
@@ -254,23 +243,31 @@ func startHealth(ctx context.Context, addr string) {
 	}()
 }
 
+// referenceDollars is the plaintext reference of the scenario's
+// fixed-point iterative program at its iteration count — an ε=0 run must
+// equal it to the bit — or NaN when it cannot be computed.
+func referenceDollars(sc cluster.Scenario) float64 {
+	prog, err := sc.Prog.Build()
+	if err != nil {
+		return math.NaN()
+	}
+	raw, err := vertex.RunReference(prog, sc.Graph, sc.Iterations)
+	if err != nil {
+		return math.NaN()
+	}
+	return cluster.DecodeDollars(sc, raw)
+}
+
 // writeRunDump writes the success-path run record as JSON when
 // -flight-dump names a path: the released value, two baselines, and the
 // recovery count and re-blocking timeline, so an external harness (the CI
 // recovery-smoke job) can assert that a killed node was recovered and the
 // ε=0 result still decodes exactly. reference_dollars is the plaintext
-// reference of the same fixed-point iterative program — an ε=0 run must
-// equal it to the bit; exact_dollars is the continuous solver's baseline,
-// which the bounded-iteration program only approximates.
-func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, released, exact float64) {
+// reference (referenceDollars); exact_dollars is the continuous solver's
+// baseline, which the bounded-iteration program only approximates.
+func writeRunDump(path string, sum *cluster.Summary, released, reference, exact float64) {
 	if path == "" {
 		return
-	}
-	reference := math.NaN()
-	if prog, err := sc.Prog.Build(); err == nil {
-		if raw, err := vertex.RunReference(prog, sc.Graph, sc.Iterations); err == nil {
-			reference = cluster.DecodeDollars(sc, raw)
-		}
 	}
 	dump := struct {
 		Recoveries       int               `json:"recoveries"`

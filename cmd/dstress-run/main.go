@@ -12,12 +12,12 @@
 //
 // -trace writes a Chrome trace-event file of the run (load it in Perfetto
 // or chrome://tracing): per-iteration compute/communicate spans, per-block
-// GMW spans, transfer and aggregation spans — on tcp, one process row per
-// node, straight from each daemon's own span table.
+// GMW spans, transfer and aggregation spans, one process row per node
+// (each participant records its own span table).
 //
 // -transport selects the execution backend behind the same dstress.Engine
-// API: sim (default) executes every node's role in this process against
-// the in-memory hub; tcp stands up a real cluster on loopback TCP — a
+// API: sim (default) runs one protocol participant per node in this
+// process against the in-memory hub; tcp stands up a real cluster on loopback TCP — a
 // coordinator plus one daemon per bank, each with its own tcpnet peer —
 // and runs the identical experiment through it. The report is printed
 // identically for both. -timeout aborts a wedged run through the context
@@ -269,7 +269,7 @@ func printReport(rep *dstress.Report) {
 	fmt.Printf("traffic per node: avg %.1f KB, max %.1f KB\n",
 		rep.AvgNodeBytes/1024, float64(rep.MaxNodeBytes)/1024)
 
-	// Cluster runs carry the per-node table behind the folded numbers:
+	// Both backends carry the per-node table behind the folded numbers:
 	// print it, and name the straggler whose wall time each phase shows.
 	if len(rep.NodePhases) > 0 {
 		fmt.Printf("\nnode   init          compute       transfer      agg+noise\n")

@@ -96,9 +96,9 @@ const (
 	OTIKNP = vertex.OTIKNP
 )
 
-// NewRuntime builds a runtime: trusted-party setup (§3.4), block GMW
-// sessions, circuit compilation, and initial share state. ctx bounds the
-// deployment bootstrap (base-OT warm-up between in-process peers).
+// NewRuntime builds a runtime: trusted-party setup (§3.4), circuit
+// compilation, one protocol participant per node, and the base-OT warm-up
+// between them. ctx bounds the deployment bootstrap.
 func NewRuntime(ctx context.Context, cfg Config, p *Program, g *Graph) (*Runtime, error) {
 	return vertex.New(ctx, cfg, p, g)
 }

@@ -16,11 +16,11 @@ import (
 // Unified execution API
 //
 // DStress has two execution backends: the in-process simulation
-// (internal/vertex, every node's role in one process against the hub) and
-// the cluster deployment (internal/cluster, real daemons over TCP). Both
-// run the identical protocol and are byte-compatible on the wire; the
-// Engine interface runs the same Job through either, and Session keeps a
-// deployment standing across multiple budgeted queries.
+// (internal/vertex, one protocol participant per node on the hub) and the
+// cluster deployment (internal/cluster, one participant per daemon over
+// TCP). Both run the same vertex.Participant and are byte-compatible on
+// the wire; the Engine interface runs the same Job through either, and
+// Session keeps a deployment standing across multiple budgeted queries.
 // ---------------------------------------------------------------------------
 
 // Job describes one query against a deployment: which program over which
@@ -74,108 +74,34 @@ type Result struct {
 }
 
 // Report summarizes one execution with the same fields in both modes: the
-// per-phase wall times and traffic of the paper's Figures 3–6.
-//
-// Phase semantics per transport: "sim" measures phases on the single
-// driving process and counts bytes sent across all simulated nodes; "tcp"
-// takes each phase's duration as the slowest node's (phases barrier on the
-// protocol's own communication) and halves the summed per-node sent+
-// received counters, so both modes report total bytes *sent* per phase. A
-// tcp Init additionally includes the GMW/OT session handshakes, which the
-// simulation performs at construction time; on a Session only the first
-// query pays it.
+// per-phase wall times and traffic of the paper's Figures 3–6. Both
+// backends run one protocol participant per node and fold the nodes' own
+// reports the same way (vertex.FoldReports): each phase takes the slowest
+// node's duration (phases barrier on the protocol's own communication),
+// and phase bytes halve the summed per-node sent+received counters, i.e.
+// total bytes *sent*. Both transports charge every message its tcpnet
+// frame size. A cluster Init additionally includes the pairwise OT
+// handshakes, which the simulation performs at Open; on a Session only the
+// first query pays them.
 type Report struct {
 	// Transport is "sim" or "tcp".
 	Transport string
 	// Nodes is the number of participants.
 	Nodes int
-	// Phase wall-clock durations. Noising happens inside the aggregation
-	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
-	InitTime, ComputeTime, CommTime, AggTime time.Duration
-	// Phase traffic totals (bytes sent across all nodes).
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
 	// WallTime is the end-to-end duration observed by the driver.
 	WallTime time.Duration
-	// SetupTime is the one-time deployment-open cost (trusted-party setup,
-	// GMW sessions with their pairwise base-OT handshakes, circuit
-	// compilation): sim pays it at Open, tcp inside the first query's Init
-	// (slowest node). Identical for every query of a standing session.
-	SetupTime time.Duration
-	// BaseOTHandshakes counts the deployment's pairwise base-OT bootstraps
-	// across all nodes: with the OT substrate, one per ordered node pair
-	// sharing at least one session, independent of the block count. Dealer
-	// runs report 0.
-	BaseOTHandshakes int64
-	// AvgNodeBytes and MaxNodeBytes summarize per-node sent+received
-	// traffic — the "traffic per node" quantity of Figures 4–6.
-	AvgNodeBytes float64
-	MaxNodeBytes int64
-	// Iterations actually executed.
-	Iterations int
-	// UpdateAndGates and AggAndGates record circuit sizes (cost drivers).
-	UpdateAndGates, AggAndGates int
-	// NodePhases is the per-node phase table behind the folded numbers
-	// above — one row per participant, sorted by node id. Cluster runs
-	// only ("sim" executes every role on one process, so a per-node split
-	// of its wall time is not observable); nil in sim reports.
-	NodePhases []NodePhase
-	// Recoveries counts node deaths survived during this query via
-	// re-blocking; ReplayedBarriers is how many phase barriers were
-	// re-executed resuming from checkpoints (cluster reports fold the
-	// per-node maximum). Both are zero unless EngineConfig.Recover was set
-	// and a node actually died.
-	Recoveries       int
-	ReplayedBarriers int
+	// The folded phase times and traffic, setup cost, per-node traffic
+	// summary, circuit sizes, recovery counters and the per-node phase
+	// table (NodePhases, one row per participant sorted by node id).
+	vertex.Report
 }
 
 // NodePhase is one node's per-phase wall times and its sent+received
 // traffic, as reported by the node itself.
-type NodePhase struct {
-	Node                                         int
-	InitTime, ComputeTime, CommTime, AggTime     time.Duration
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
-}
+type NodePhase = vertex.NodePhase
 
-// PhaseLeader names the slowest node for one phase — the straggler whose
-// wall time the folded Report shows, since every phase barriers on the
-// protocol's own communication.
-type PhaseLeader struct {
-	Phase string
-	Node  int
-	Time  time.Duration
-}
-
-// SlowestNodes returns the straggler per phase (init, compute, communicate,
-// aggregate), in execution order. Empty when the report has no per-node
-// table (sim runs).
-func (r *Report) SlowestNodes() []PhaseLeader {
-	if len(r.NodePhases) == 0 {
-		return nil
-	}
-	leaders := []PhaseLeader{
-		{Phase: "init"}, {Phase: "compute"}, {Phase: "communicate"}, {Phase: "aggregate"},
-	}
-	for _, np := range r.NodePhases {
-		times := [4]time.Duration{np.InitTime, np.ComputeTime, np.CommTime, np.AggTime}
-		for i, t := range times {
-			if t > leaders[i].Time {
-				leaders[i].Time = t
-				leaders[i].Node = np.Node
-			}
-		}
-	}
-	return leaders
-}
-
-// TotalTime returns the summed phase durations.
-func (r *Report) TotalTime() time.Duration {
-	return r.InitTime + r.ComputeTime + r.CommTime + r.AggTime
-}
-
-// TotalBytes returns the summed phase traffic.
-func (r *Report) TotalBytes() int64 {
-	return r.InitBytes + r.ComputeBytes + r.CommBytes + r.AggBytes
-}
+// PhaseLeader names the slowest node for one phase (Report.SlowestNodes).
+type PhaseLeader = vertex.PhaseLeader
 
 // Engine runs jobs. Both backends implement it: NewSimEngine executes
 // in-process against the simulated hub, NewClusterEngine stands up real
@@ -217,9 +143,6 @@ type EngineConfig struct {
 	// cluster runs always use IKNP (a dealer broker is an in-process
 	// object and cannot span machines).
 	OTMode OTMode
-	// Parallelism caps concurrently executing block MPCs / transfers in
-	// the simulation; 0 means GOMAXPROCS.
-	Parallelism int
 	// TablePFail is the per-decryption failure budget used to size the
 	// ElGamal lookup table (Appendix B); 0 means 1e-12.
 	TablePFail float64
@@ -296,9 +219,8 @@ func (e *SimEngine) vertexConfig(epsilon float64) Config {
 	cfg := Config{
 		Group: e.cfg.Group, K: e.cfg.K, Alpha: e.cfg.Alpha, Epsilon: epsilon,
 		NoiseShift: e.cfg.NoiseShift, OTMode: e.cfg.OTMode,
-		Parallelism: e.cfg.Parallelism, TablePFail: e.cfg.TablePFail,
-		AggFanIn: e.cfg.AggFanIn,
-		Recover:  e.cfg.Recover,
+		TablePFail: e.cfg.TablePFail, AggFanIn: e.cfg.AggFanIn,
+		Recover: e.cfg.Recover,
 	}
 	if e.cfg.ChaosNode > 0 {
 		cfg.Chaos = &vertex.ChaosSpec{
@@ -347,23 +269,7 @@ func (b *simBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *R
 	if err != nil {
 		return 0, nil, err
 	}
-	out := &Report{
-		Transport: "sim",
-		Nodes:     b.nodes,
-		InitTime:  rep.InitTime, ComputeTime: rep.ComputeTime,
-		CommTime: rep.CommTime, AggTime: rep.AggTime,
-		InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-		CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
-		WallTime:         time.Since(start),
-		SetupTime:        rep.SetupTime,
-		BaseOTHandshakes: rep.BaseOTHandshakes,
-		AvgNodeBytes:     rep.AvgNodeBytes, MaxNodeBytes: rep.MaxNodeBytes,
-		Iterations:     rep.Iterations,
-		UpdateAndGates: rep.UpdateAndGates, AggAndGates: rep.AggAndGates,
-		Recoveries:       rep.Recoveries,
-		ReplayedBarriers: rep.ReplayedBarriers,
-	}
-	return raw, out, nil
+	return raw, &Report{Transport: "sim", Nodes: b.nodes, WallTime: time.Since(start), Report: *rep}, nil
 }
 
 func (b *simBackend) fleet() *FleetHealth { return nil }
@@ -383,9 +289,8 @@ type ClusterEngine struct {
 	cfg EngineConfig
 }
 
-// NewClusterEngine returns the loopback-cluster backend. OTMode and
-// Parallelism are ignored: cluster nodes always provision OTs with IKNP
-// and parallelize their own roles.
+// NewClusterEngine returns the loopback-cluster backend. OTMode is
+// ignored: cluster nodes always provision OTs with IKNP.
 func NewClusterEngine(cfg EngineConfig) *ClusterEngine { return &ClusterEngine{cfg: cfg} }
 
 func (e *ClusterEngine) scenario(job Job) (cluster.Scenario, error) {
@@ -481,62 +386,11 @@ func (b *clusterBackend) fleet() *FleetHealth { return b.lb.Health() }
 
 func (b *clusterBackend) close() error { return b.lb.Close() }
 
-// summaryReport folds a cluster Summary's per-node reports into the
-// unified shape: phase times are the slowest node's (the protocol's own
-// communication barriers make that the wall time of the phase), and phase
-// bytes are the summed per-node sent+received counters halved, i.e. total
-// bytes sent — the same quantity the simulation reports.
+// summaryReport folds a cluster Summary's per-node reports and counters
+// into the unified shape, exactly as the simulation folds its
+// participants' (vertex.FoldReports).
 func summaryReport(sum *cluster.Summary, nodes int) *Report {
-	out := &Report{Transport: "tcp", Nodes: nodes, WallTime: sum.WallTime}
-	var initB, compB, commB, aggB int64
-	for _, rep := range sum.Reports {
-		if rep.InitTime > out.InitTime {
-			out.InitTime = rep.InitTime
-		}
-		if rep.ComputeTime > out.ComputeTime {
-			out.ComputeTime = rep.ComputeTime
-		}
-		if rep.CommTime > out.CommTime {
-			out.CommTime = rep.CommTime
-		}
-		if rep.AggTime > out.AggTime {
-			out.AggTime = rep.AggTime
-		}
-		if rep.SetupTime > out.SetupTime {
-			out.SetupTime = rep.SetupTime
-		}
-		out.BaseOTHandshakes += rep.BaseOTHandshakes
-		initB += rep.InitBytes
-		compB += rep.ComputeBytes
-		commB += rep.CommBytes
-		aggB += rep.AggBytes
-		out.Iterations = rep.Iterations
-		out.UpdateAndGates = rep.UpdateAndGates
-		// Only aggregation-block members compile the aggregate circuit;
-		// the other nodes report 0.
-		if rep.AggAndGates > out.AggAndGates {
-			out.AggAndGates = rep.AggAndGates
-		}
-		if rep.ReplayedBarriers > out.ReplayedBarriers {
-			out.ReplayedBarriers = rep.ReplayedBarriers
-		}
-	}
-	out.Recoveries = sum.Recoveries
-	out.InitBytes, out.ComputeBytes, out.CommBytes, out.AggBytes = initB/2, compB/2, commB/2, aggB/2
-	out.AvgNodeBytes = sum.AvgNodeBytes()
-	out.MaxNodeBytes = sum.MaxNodeBytes()
-	// Keep the raw per-node rows (sent+received, the node's own view) so
-	// callers can attribute the folded maxima to stragglers.
-	out.NodePhases = make([]NodePhase, 0, len(sum.Reports))
-	for id, rep := range sum.Reports {
-		out.NodePhases = append(out.NodePhases, NodePhase{
-			Node:     int(id),
-			InitTime: rep.InitTime, ComputeTime: rep.ComputeTime,
-			CommTime: rep.CommTime, AggTime: rep.AggTime,
-			InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-			CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
-		})
-	}
-	sort.Slice(out.NodePhases, func(a, b int) bool { return out.NodePhases[a].Node < out.NodePhases[b].Node })
-	return out
+	rep := vertex.FoldReports(sum.Reports, sum.Stats)
+	rep.Recoveries = sum.Recoveries
+	return &Report{Transport: "tcp", Nodes: nodes, WallTime: sum.WallTime, Report: rep}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func compiledAgg(sum *Summary, id network.NodeID) bool {
 func checkAggCompiles(t *testing.T, sum *Summary, agg []network.NodeID, wantAnd int, compiled bool) {
 	t.Helper()
 	for id, rep := range sum.Reports {
-		member := indexOf(agg, id) >= 0
+		member := slices.Contains(agg, id)
 		if got := compiledAgg(sum, id); got != (member && compiled) {
 			t.Errorf("node %d (aggregation member %v): compiled aggregate circuit = %v", id, member, got)
 		}
@@ -113,7 +114,7 @@ func TestRecoveryReplacementJoinsAggBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if indexOf(aggBlock(lb), victim) < 0 {
+		if !slices.Contains(aggBlock(lb), victim) {
 			t.Fatalf("aggregation block %v does not contain node %d", aggBlock(lb), victim)
 		}
 		sum, err = lb.Run(ctx, Query{Iterations: iters})
@@ -134,7 +135,7 @@ func TestRecoveryReplacementJoinsAggBlock(t *testing.T) {
 		t.Fatalf("Recoveries = %d, want 1", sum.Recoveries)
 	}
 	agg := aggBlock(lb)
-	if indexOf(agg, victim) >= 0 {
+	if slices.Contains(agg, victim) {
 		t.Fatalf("aggregation block %v still holds the dead node", agg)
 	}
 	// The survivor that was already a member compiled during the first
@@ -151,7 +152,7 @@ func TestRecoveryReplacementJoinsAggBlock(t *testing.T) {
 			compiled = append(compiled, id)
 		}
 	}
-	if len(compiled) != 1 || indexOf(agg, compiled[0]) < 0 {
+	if len(compiled) != 1 || !slices.Contains(agg, compiled[0]) {
 		t.Errorf("nodes compiling on the resumed attempt: %v, want exactly the replacement in %v", compiled, agg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -378,7 +379,7 @@ func (s *Session) noteDeath(id network.NodeID, err error) bool {
 // storeCkpt archives one node's encrypted barrier snapshot. The coordinator
 // holds no recovery key: blobs are opaque and only ever handed back to the
 // replacement of a dead node.
-func (s *Session) storeCkpt(id network.NodeID, c *ckptMsg) {
+func (s *Session) storeCkpt(id network.NodeID, c *vertex.Checkpoint) {
 	if !s.recoverOn {
 		return
 	}
@@ -731,8 +732,6 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("cluster: session is closed")
 	}
-	// Claim the first-job slot only once validation is done: a rejected
-	// query must not consume the one job that ships the setup.
 	seq := q.Seq
 	if seq <= 0 {
 		seq = s.jobsSent + 1
@@ -744,8 +743,6 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 	if seq > s.jobsSent {
 		s.jobsSent = seq
 	}
-	first := !s.setupSent
-	s.setupSent = true
 	// Buffered past fleet size so the per-node readers never block on a
 	// collect loop that is busy recovering: with re-blocking, one query can
 	// see up to one report per node per attempt.
@@ -773,7 +770,7 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 
 	// On any failure below the session is unusable: release the fleet so
 	// every node fails fast instead of waiting on dead counterparties.
-	sum, err := s.runQuery(ctx, q, cfg, g, n, first, seq, ch)
+	sum, err := s.runQuery(ctx, q, cfg, g, n, seq, ch)
 	if err != nil {
 		s.abort()
 		return nil, err
@@ -781,11 +778,10 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 	return sum, nil
 }
 
-func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vertex.Graph, n int, first bool, seq int, ch chan doneMsg) (*Summary, error) {
+func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vertex.Graph, n int, seq int, ch chan doneMsg) (*Summary, error) {
 	// --- Dispatch the job; this triggers the query. The whole fleet loop
 	// holds dispatchMu so overlapping Runs cannot interleave their jobs
 	// across connections: every node sees the same job order.
-	slog.Debug("cluster query dispatch", "query", seq, "nodes", n, "iterations", q.Iterations, "epsilon", q.Epsilon, "first", first)
 	start := time.Now()
 	s.mu.Lock()
 	s.specs[seq] = querySpec{cfg: cfg, iterations: q.Iterations}
@@ -794,10 +790,15 @@ func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vert
 	s.dispatchMu.Lock()
 	// Snapshot the fleet while holding dispatchMu: a recovery both shrinks
 	// ids and sends its own control traffic under the same lock, so the
-	// snapshot can never name a retired connection.
+	// snapshot can never name a retired connection. The setup-carrying
+	// first job is claimed under the same lock, so it is the first job on
+	// every connection even when Runs race to dispatch.
 	s.mu.Lock()
 	live := append([]network.NodeID(nil), s.ids...)
+	first := !s.setupSent
+	s.setupSent = true
 	s.mu.Unlock()
+	slog.Debug("cluster query dispatch", "query", seq, "nodes", n, "iterations", q.Iterations, "epsilon", q.Epsilon, "first", first)
 	for _, id := range live {
 		job := jobMsg{
 			Cfg:        cfg,
@@ -808,7 +809,6 @@ func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vert
 			Seq:        seq,
 			Attempt:    1,
 			Recover:    s.recoverOn,
-			Adopted:    s.adoptedFor(id),
 		}
 		if first {
 			job.Topo = TopologyWire{D: g.D, Out: g.Out}
@@ -953,29 +953,6 @@ type resumePlan struct {
 	spec                  querySpec
 }
 
-// adoptedFor lists the vertices node id acts as owner of without being
-// their registered owner — non-empty only after a re-blocking — together
-// with the owners' inputs (the coordinator is the experiment driver and
-// holds every owner's inputs; see the wire package comment).
-func (s *Session) adoptedFor(id network.NodeID) map[int]adoptedInput {
-	s.mu.Lock()
-	setup := s.setup
-	s.mu.Unlock()
-	g := s.c.sc.Graph
-	var m map[int]adoptedInput
-	for v := 0; v < g.N(); v++ {
-		owner := g.NodeOf(v)
-		if owner == id || setup.Assignment.Blocks[owner][0] != id {
-			continue
-		}
-		if m == nil {
-			m = make(map[int]adoptedInput)
-		}
-		m[v] = adoptedInput{InitState: g.InitState[v], Priv: g.Priv[v]}
-	}
-	return m
-}
-
 // resumeJob rebuilds node id's job message for a resumed attempt of one
 // in-flight query. Topology, directory, and setup are omitted: the fleet is
 // standing and the enclosing recoverMsg carries the new setup.
@@ -990,29 +967,7 @@ func (s *Session) resumeJob(id network.NodeID, p resumePlan) jobMsg {
 		Seq:        p.seq,
 		Attempt:    p.attempt,
 		Recover:    true,
-		Adopted:    s.adoptedFor(id),
 	}
-}
-
-// minBarrierLocked picks query q's resume barrier: the latest checkpoint
-// barrier every fleet member (the casualty included — its blob is what the
-// replacement restores from) has shipped, or −1 when some node never
-// checkpointed the query at all (then it restarts from initialization).
-// Caller holds s.mu.
-func (s *Session) minBarrierLocked(q int) int {
-	b := -1
-	for i, id := range s.ids {
-		latest := -1
-		for bb := range s.ckpts[q][id] {
-			if bb > latest {
-				latest = bb
-			}
-		}
-		if i == 0 || latest < b {
-			b = latest
-		}
-	}
-	return b
 }
 
 // recoverDead re-blocks the session around one dead node and resumes every
@@ -1027,7 +982,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	defer s.recMu.Unlock()
 	s.mu.Lock()
 	closed := s.closed
-	hintLive := hint != 0 && indexOf(s.ids, hint) >= 0
+	hintLive := hint != 0 && slices.Contains(s.ids, hint)
 	cur := normAttempt(s.attempts[seq])
 	s.mu.Unlock()
 	if closed {
@@ -1055,54 +1010,16 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	candidates := append([]network.NodeID(nil), s.ids...)
 	setup := s.setup
 	s.mu.Unlock()
-	if indexOf(candidates, dead) < 0 {
+	if !slices.Contains(candidates, dead) {
 		return nil // already re-blocked around this casualty
 	}
 
-	// The replacement inherits the casualty's owner slots; it must share no
-	// block with it, or it would hold two shares of one secret. Lowest live
-	// id wins for determinism.
-	var repl network.NodeID
-	for _, id := range candidates {
-		if id != dead && trustedparty.ReplacementOK(setup.Assignment, dead, id) {
-			repl = id
-			break
-		}
-	}
-	if repl == 0 {
-		return fmt.Errorf("cluster: replacing dead node %d: %w", dead, trustedparty.ErrNoReplacement)
-	}
-	next, err := s.tp.Reblock(setup, s.regs, dead, repl)
+	rb, err := vertex.PlanReblock(s.tp, setup, s.regs, s.c.sc.Graph, candidates, dead)
 	if err != nil {
-		return fmt.Errorf("cluster: re-blocking around node %d: %w", dead, err)
+		return fmt.Errorf("cluster: %w", err)
 	}
-	wireNext := trustedparty.MarshalSetup(s.c.grp, next)
-
-	// Vertices the replacement adopts: every vertex whose acting owner was
-	// the casualty under the assignment being replaced. The adjuster role
-	// for edges into an adopted vertex needs the ORIGINAL registrant's
-	// neighbor keys — the re-issued certificates are randomized under them —
-	// and chained deaths resolve naturally because each vertex keeps
-	// pointing at its registrant via NodeOf.
-	g := s.c.sc.Graph
-	regByID := make(map[network.NodeID]trustedparty.NodeRegistration, len(s.regs))
-	for _, r := range s.regs {
-		regByID[r.ID] = r
-	}
-	adoptedKeys := make(map[int][][]byte)
-	adoptedIns := make(map[int]adoptedInput)
-	for v := 0; v < g.N(); v++ {
-		if setup.Assignment.Blocks[g.NodeOf(v)][0] != dead {
-			continue
-		}
-		reg := regByID[g.NodeOf(v)]
-		keys := make([][]byte, len(reg.NeighborKeys))
-		for j, nk := range reg.NeighborKeys {
-			keys[j] = nk.Bytes()
-		}
-		adoptedKeys[v] = keys
-		adoptedIns[v] = adoptedInput{InitState: g.InitState[v], Priv: g.Priv[v]}
-	}
+	repl := rb.Repl
+	wireNext := trustedparty.MarshalSetup(s.c.grp, rb.Setup)
 
 	// Commit: bump every in-flight query's attempt, retire the casualty,
 	// swap the setup, and announce under dispatchMu so the recovery message
@@ -1115,7 +1032,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	var plans []resumePlan
 	deadBlobs := make(map[int][]byte)
 	for q := range s.pending {
-		b := s.minBarrierLocked(q)
+		b := vertex.MinBarrier(s.ckpts[q], s.ids)
 		na := normAttempt(s.attempts[q]) + 1
 		s.attempts[q] = na
 		plans = append(plans, resumePlan{seq: q, attempt: na, barrier: b, spec: s.specs[q]})
@@ -1124,7 +1041,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 		}
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].seq < plans[j].seq })
-	s.setup = next
+	s.setup = rb.Setup
 	s.wireSetup = wireNext
 	deadConn := s.conns[dead]
 	delete(s.conns, dead)
@@ -1158,8 +1075,8 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	for _, id := range liveNow {
 		rm := recoverMsg{Epoch: epoch, Dead: dead, Repl: repl, Setup: wireNext}
 		if id == repl {
-			rm.AdoptedKeys = adoptedKeys
-			rm.AdoptedInputs = adoptedIns
+			rm.AdoptedKeys = rb.AdoptedKeys
+			rm.AdoptedInputs = rb.AdoptedInputs
 			rm.DeadBlobs = deadBlobs
 		}
 		for _, p := range plans {
@@ -1275,7 +1192,7 @@ func OpenLoopback(ctx context.Context, sc Scenario) (*Loopback, error) {
 			// process death would, without touching its peers.
 			vctx, vcancel := context.WithCancel(nodeCtx)
 			runCtx = vctx
-			opts.Chaos = &NodeChaos{Barrier: sc.ChaosBarrier, Kill: vcancel}
+			opts.Chaos = &vertex.Chaos{Barrier: sc.ChaosBarrier, Kill: vcancel}
 		}
 		lb.nodeWg.Add(1)
 		go func() {

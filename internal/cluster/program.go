@@ -3,16 +3,14 @@
 // in-MPC noising, flat or tree aggregation — across genuinely separate
 // processes connected by internal/tcpnet.
 //
-// The paper's evaluation (§5) runs one node per EC2 machine; the simulated
-// runtime in internal/vertex plays every node's role in one process against
-// the in-memory hub. This package is the bridge between the two: a
-// Coordinator (the experiment driver, which also plays the trusted party of
-// §3.4) and node daemons that each execute exactly one participant's roles
-// against a network.Transport. The per-node engine in node.go mirrors
-// vertex.Runtime's schedule step for step — same tags, same message
-// ordering — restricted to the roles the local node actually plays, so a
-// cluster run and a simulated run of the same scenario are byte-compatible
-// on the wire.
+// The paper's evaluation (§5) runs one node per EC2 machine. Every node's
+// protocol roles run in one vertex.Participant — the same engine the
+// in-process simulation runs N copies of on its hub — so this package is
+// only the control plane around it: a Coordinator (the experiment driver,
+// which also plays the trusted party of §3.4 and drives recovery) and node
+// daemons that decode and verify the dispatched deployment, exchange the
+// fleet recovery key, ship checkpoints, and run, supersede and resume
+// jobs on their participant against a tcpnet peer.
 package cluster
 
 import (

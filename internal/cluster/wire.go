@@ -33,6 +33,8 @@ package cluster
 // its own inputs out of band (see DESIGN.md).
 
 import (
+	"math/big"
+
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/trustedparty"
@@ -90,7 +92,7 @@ type ctrlMsg struct {
 type nodeMsg struct {
 	Done *doneMsg
 	Beat *beatMsg
-	Ckpt *ckptMsg
+	Ckpt *vertex.Checkpoint
 }
 
 // pingMsg is the coordinator's periodic heartbeat probe. T1 is the
@@ -174,34 +176,6 @@ type jobMsg struct {
 	// share snapshots at every phase barrier, and survive run failures
 	// (report them on doneMsg without poisoning the standing daemon).
 	Recover bool
-	// Adopted carries inputs for vertices this node is the *acting* owner
-	// of after earlier re-blockings — vertices whose registered owner died
-	// and whose owner slot this node inherited. Keyed by vertex index.
-	// Empty before any recovery.
-	Adopted map[int]adoptedInput
-}
-
-// adoptedInput is the per-vertex owner input for a vertex whose acting
-// owner is not its registered owner (the registrant died and this vertex's
-// owner slot was re-assigned). The coordinator is the experiment driver and
-// already holds every owner's inputs (see the package comment), so handing
-// the dead owner's inputs to the replacement adds no new trust exposure.
-type adoptedInput struct {
-	InitState int64
-	Priv      []uint8
-}
-
-// ckptMsg ships one node's encrypted share snapshot for one phase barrier
-// of one query. The coordinator stores the blob (it holds no recovery key,
-// so the blob is opaque to it) and hands the dead node's latest blob to the
-// replacement on recovery.
-type ckptMsg struct {
-	Seq     int
-	Attempt int
-	// Barrier b is the start of iteration b: 0 after initialization,
-	// b ≥ 1 after communicate(b−1).
-	Barrier int
-	Blob    []byte
 }
 
 // resumeSpec tells a node to resume one in-flight query from a barrier.
@@ -230,15 +204,17 @@ type recoverMsg struct {
 	Dead  network.NodeID
 	Repl  network.NodeID
 	Setup trustedparty.WireSetup
-	// AdoptedKeys maps vertex → the registered owner's neighbor keys
-	// (big-endian big.Int bytes, one per out-edge slot); sent to the
-	// replacement only. The adjuster role for edges into an adopted vertex
-	// needs the ORIGINAL registrant's keys — the re-issued certificates
-	// were randomized under them.
-	AdoptedKeys map[int][][]byte
+	// AdoptedKeys maps vertex → the registered owner's neighbor keys (one
+	// per out-edge slot); sent to the replacement only. The adjuster role
+	// for edges into an adopted vertex needs the ORIGINAL registrant's
+	// keys — the re-issued certificates were randomized under them.
+	AdoptedKeys map[int][]*big.Int
 	// AdoptedInputs maps vertex → owner inputs; sent to the replacement
-	// only.
-	AdoptedInputs map[int]adoptedInput
+	// only, which runs every later query of the vertex with them. The
+	// coordinator is the experiment driver and already holds every owner's
+	// inputs (see the package comment), so handing a dead owner's inputs to
+	// its replacement adds no new trust exposure.
+	AdoptedInputs map[int]vertex.OwnerInput
 	// DeadBlobs maps seq → the dead node's checkpoint blob at exactly that
 	// query's resume barrier; sent to the replacement only.
 	DeadBlobs map[int][]byte

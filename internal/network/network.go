@@ -7,9 +7,9 @@
 // Endpoint, messages are delivered in-process through unbounded mailboxes
 // (so protocol goroutines can never deadlock on back-pressure), and the hub
 // keeps per-node byte and message counters that the benchmark harness reads
-// after a run. A configurable per-message header overhead models framing
-// (TCP/IP + TLS record) so traffic numbers are comparable in spirit to the
-// paper's packet captures.
+// after a run. Every message is charged its tcpnet frame size (FrameBytes),
+// so the hub and the TCP transport count the same bytes for the same
+// traffic.
 //
 // Messages are addressed by (sender, receiver, tag). Tags multiplex the many
 // concurrent protocol instances a node participates in — a node may be a
@@ -56,55 +56,34 @@ type Transport interface {
 	Stats() Stats
 }
 
-// DefaultHeaderOverhead is the per-message framing cost, in bytes, added to
-// traffic counters: a conservative stand-in for TCP/IP+TLS framing.
-const DefaultHeaderOverhead = 64
+// FrameBytes is the on-the-wire size of one message as tcpnet frames it:
+// uint32 length | int32 from | uint16 tagLen | tag | payload. The hub
+// charges every message the same size.
+func FrameBytes(tag string, payload int) int64 {
+	return int64(4 + 4 + 2 + len(tag) + payload)
+}
 
 // Network is the in-process message hub.
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[NodeID]*Endpoint
-	overhead  int
 
-	// Traffic accounting.
+	// Traffic accounting. Per-tag-prefix counters live on each endpoint
+	// (Endpoint.TagStats), so every node sees its own traffic per protocol
+	// layer and per query, as a tcpnet peer does.
 	sentBytes map[NodeID]int64
 	recvBytes map[NodeID]int64
 	sentMsgs  map[NodeID]int64
-	// Per-tag-prefix accounting: which protocol layer the bytes belong to
-	// (first "/"-separated tag component — "blk", "tx", "aggsh", … — or
-	// "q/<id>/<layer>" for query-rooted tags).
-	tagStats map[string]TagStat
-	// Per-query accounting, keyed by query root ("q/<id>"): total bytes and
-	// per-node sent+received bytes, so overlapping queries on one hub each
-	// get their own phase/traffic numbers.
-	queryStats map[string]*queryStat
 }
 
-type queryStat struct {
-	total     int64
-	nodeBytes map[NodeID]int64 // sent+received per node
-}
-
-// New creates an empty network with the default header overhead.
+// New creates an empty network.
 func New() *Network {
 	return &Network{
 		endpoints: make(map[NodeID]*Endpoint),
-		overhead:  DefaultHeaderOverhead,
 		sentBytes: make(map[NodeID]int64),
 		recvBytes: make(map[NodeID]int64),
 		sentMsgs:  make(map[NodeID]int64),
-		tagStats:  make(map[string]TagStat),
-
-		queryStats: make(map[string]*queryStat),
 	}
-}
-
-// SetHeaderOverhead overrides the per-message framing cost (bytes). It must
-// be called before traffic starts flowing.
-func (n *Network) SetHeaderOverhead(b int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.overhead = b
 }
 
 // Endpoint returns (creating if necessary) the endpoint for id.
@@ -114,33 +93,23 @@ func (n *Network) Endpoint(id NodeID) *Endpoint {
 	if e, ok := n.endpoints[id]; ok {
 		return e
 	}
-	e := &Endpoint{net: n, id: id, boxes: make(map[boxKey]*mailbox)}
+	e := &Endpoint{net: n, id: id, boxes: make(map[boxKey]*mailbox), tags: make(map[string]*TagStat)}
 	n.endpoints[id] = e
 	return e
 }
 
-func (n *Network) account(from, to NodeID, tag string, payload int) {
+func (n *Network) account(from, to *Endpoint, tag string, payload int) {
+	total := FrameBytes(tag, payload)
+	prefix := TagPrefix(tag)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	total := int64(payload + n.overhead)
-	n.sentBytes[from] += total
-	n.recvBytes[to] += total
-	n.sentMsgs[from]++
-	ts := n.tagStats[TagPrefix(tag)]
-	ts.BytesSent += total
-	ts.BytesReceived += total // in-process delivery: every sent byte arrives
-	ts.MessagesSent++
-	n.tagStats[TagPrefix(tag)] = ts
-	if root := QueryRoot(tag); root != "" {
-		qs, ok := n.queryStats[root]
-		if !ok {
-			qs = &queryStat{nodeBytes: make(map[NodeID]int64)}
-			n.queryStats[root] = qs
-		}
-		qs.total += total
-		qs.nodeBytes[from] += total
-		qs.nodeBytes[to] += total
-	}
+	n.sentBytes[from.id] += total
+	n.recvBytes[to.id] += total
+	n.sentMsgs[from.id]++
+	out := from.tagStat(prefix)
+	out.BytesSent += total
+	out.MessagesSent++
+	to.tagStat(prefix).BytesReceived += total
 }
 
 // Stats is a snapshot of a node's traffic counters.
@@ -150,9 +119,8 @@ type Stats struct {
 	MessagesSent  int64
 }
 
-// TagStat aggregates the traffic carried under one tag prefix — the
-// protocol layer the bytes belong to. On the in-process hub sent and
-// received are equal; on tcpnet they are measured independently per side.
+// TagStat aggregates one node's traffic carried under one tag prefix — the
+// protocol layer the bytes belong to.
 type TagStat struct {
 	BytesSent     int64
 	BytesReceived int64
@@ -160,7 +128,7 @@ type TagStat struct {
 }
 
 // TagTracker is optionally implemented by transports that keep per-tag-
-// prefix traffic counters (the hub Network and tcpnet.Peer both do). It is
+// prefix traffic counters (the hub Endpoint and tcpnet.Peer both do). It is
 // deliberately NOT part of Transport: the Transport contract is frozen by
 // the networktest conformance suite, and observability is an optional
 // capability discovered by type assertion.
@@ -194,18 +162,6 @@ func TagPrefix(tag string) string {
 	return tag
 }
 
-// QueryRoot returns the "q/<id>" namespace a tag lives under, or "" for
-// tags outside any query (setup handshakes, control traffic).
-func QueryRoot(tag string) string {
-	if !strings.HasPrefix(tag, "q/") {
-		return ""
-	}
-	if j := strings.IndexByte(tag[2:], '/'); j >= 0 {
-		return tag[:2+j]
-	}
-	return tag
-}
-
 // TagRetirer is optionally implemented by transports that can retire the
 // counters and mailboxes accumulated under one tag namespace (a finished
 // query's "q/<id>" root). Like TagTracker it is discovered by type
@@ -214,17 +170,6 @@ func QueryRoot(tag string) string {
 // mailboxes per query served.
 type TagRetirer interface {
 	RetireTagPrefix(prefix string)
-}
-
-// TagStats returns a snapshot of the per-tag-prefix traffic counters.
-func (n *Network) TagStats() map[string]TagStat {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]TagStat, len(n.tagStats))
-	for k, v := range n.tagStats {
-		out[k] = v
-	}
-	return out
 }
 
 // NodeStats returns the traffic snapshot for one node.
@@ -278,55 +223,6 @@ func (n *Network) AvgNodeBytes() float64 {
 	return float64(t) / float64(len(n.endpoints))
 }
 
-// QueryBytes returns the total bytes carried so far under one query root
-// ("q/<id>"). Concurrent queries each see only their own traffic.
-func (n *Network) QueryBytes(root string) int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if qs, ok := n.queryStats[root]; ok {
-		return qs.total
-	}
-	return 0
-}
-
-// QueryMaxNodeBytes returns the largest per-node sent+received byte count
-// attributable to one query root.
-func (n *Network) QueryMaxNodeBytes(root string) int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	qs, ok := n.queryStats[root]
-	if !ok {
-		return 0
-	}
-	var m int64
-	for _, v := range qs.nodeBytes {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// QueryAvgNodeBytes returns the mean per-node sent+received byte count for
-// one query root, averaged over all endpoints that exist (idle nodes count
-// as zero, matching AvgNodeBytes).
-func (n *Network) QueryAvgNodeBytes(root string) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.endpoints) == 0 {
-		return 0
-	}
-	qs, ok := n.queryStats[root]
-	if !ok {
-		return 0
-	}
-	var t int64
-	for _, v := range qs.nodeBytes {
-		t += v
-	}
-	return float64(t) / float64(len(n.endpoints))
-}
-
 // RetireTagPrefix drops every counter and mailbox filed under prefix (a
 // component boundary: "q/3" retires "q/3" and "q/3/...", never "q/30").
 // Called after a query's result is reported so standing hubs don't grow a
@@ -334,14 +230,13 @@ func (n *Network) QueryAvgNodeBytes(root string) float64 {
 // (sentBytes &c.) are cumulative by design and are not touched.
 func (n *Network) RetireTagPrefix(prefix string) {
 	n.mu.Lock()
-	for k := range n.tagStats {
-		if tagUnder(k, prefix) {
-			delete(n.tagStats, k)
-		}
-	}
-	delete(n.queryStats, prefix)
 	eps := make([]*Endpoint, 0, len(n.endpoints))
 	for _, e := range n.endpoints {
+		for k := range e.tags {
+			if tagUnder(k, prefix) {
+				delete(e.tags, k)
+			}
+		}
 		eps = append(eps, e)
 	}
 	n.mu.Unlock()
@@ -370,8 +265,9 @@ func (n *Network) ResetStats() {
 	n.sentBytes = make(map[NodeID]int64)
 	n.recvBytes = make(map[NodeID]int64)
 	n.sentMsgs = make(map[NodeID]int64)
-	n.tagStats = make(map[string]TagStat)
-	n.queryStats = make(map[string]*queryStat)
+	for _, e := range n.endpoints {
+		e.tags = make(map[string]*TagStat)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -448,9 +344,15 @@ type Endpoint struct {
 
 	mu    sync.Mutex
 	boxes map[boxKey]*mailbox
+
+	// tags is this node's traffic per tag prefix, guarded by net.mu.
+	tags map[string]*TagStat
 }
 
-var _ Transport = (*Endpoint)(nil)
+var (
+	_ Transport  = (*Endpoint)(nil)
+	_ TagTracker = (*Endpoint)(nil)
+)
 
 // ID returns the node id this endpoint belongs to.
 func (e *Endpoint) ID() NodeID { return e.id }
@@ -460,6 +362,29 @@ func (e *Endpoint) Network() *Network { return e.net }
 
 // Stats returns this endpoint's traffic counters.
 func (e *Endpoint) Stats() Stats { return e.net.NodeStats(e.id) }
+
+// TagStats returns this node's traffic per tag prefix: the bytes and
+// messages it sent and the bytes it received under each protocol layer.
+func (e *Endpoint) TagStats() map[string]TagStat {
+	e.net.mu.Lock()
+	defer e.net.mu.Unlock()
+	out := make(map[string]TagStat, len(e.tags))
+	for k, v := range e.tags {
+		out[k] = *v
+	}
+	return out
+}
+
+// tagStat returns the counter for one tag prefix, creating it. Caller
+// holds net.mu.
+func (e *Endpoint) tagStat(prefix string) *TagStat {
+	ts := e.tags[prefix]
+	if ts == nil {
+		ts = &TagStat{}
+		e.tags[prefix] = ts
+	}
+	return ts
+}
 
 func (e *Endpoint) box(from NodeID, tag string) *mailbox {
 	e.mu.Lock()
@@ -480,7 +405,7 @@ func (e *Endpoint) Send(to NodeID, tag string, payload []byte) error {
 	dst := e.net.Endpoint(to)
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	e.net.account(e.id, to, tag, len(payload))
+	e.net.account(e, dst, tag, len(payload))
 	dst.box(e.id, tag).put(cp)
 	return nil
 }

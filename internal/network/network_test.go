@@ -104,31 +104,36 @@ func TestExchange(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
+	// Every message is charged its tcpnet frame: 4+4+2 header bytes, the
+	// tag, the payload — 11 bytes of framing for the one-byte tag "t".
 	n := New()
-	n.SetHeaderOverhead(10)
 	a := n.Endpoint(1)
 	a.Send(2, "t", make([]byte, 100))
 	a.Send(2, "t", make([]byte, 50))
 	n.Endpoint(2).Send(1, "t", make([]byte, 5))
 
 	s1 := n.NodeStats(1)
-	if s1.BytesSent != 170 { // 100+10 + 50+10
-		t.Errorf("node1 sent %d, want 170", s1.BytesSent)
+	if s1.BytesSent != 172 { // 100+11 + 50+11
+		t.Errorf("node1 sent %d, want 172", s1.BytesSent)
 	}
-	if s1.BytesReceived != 15 {
-		t.Errorf("node1 received %d, want 15", s1.BytesReceived)
+	if s1.BytesReceived != 16 {
+		t.Errorf("node1 received %d, want 16", s1.BytesReceived)
 	}
 	if s1.MessagesSent != 2 {
 		t.Errorf("node1 msgs %d, want 2", s1.MessagesSent)
 	}
-	if n.TotalBytes() != 185 {
-		t.Errorf("total %d, want 185", n.TotalBytes())
+	if n.TotalBytes() != 188 {
+		t.Errorf("total %d, want 188", n.TotalBytes())
 	}
-	if n.MaxNodeBytes() != 185 { // node1: 170 sent + 15 received
-		t.Errorf("max node bytes %d, want 185", n.MaxNodeBytes())
+	if n.MaxNodeBytes() != 188 { // node1: 172 sent + 16 received
+		t.Errorf("max node bytes %d, want 188", n.MaxNodeBytes())
 	}
-	if avg := n.AvgNodeBytes(); avg != 185 { // both nodes total 185 each
-		t.Errorf("avg node bytes %v, want 185", avg)
+	if avg := n.AvgNodeBytes(); avg != 188 { // both nodes total 188 each
+		t.Errorf("avg node bytes %v, want 188", avg)
+	}
+	// Each endpoint sees its own traffic per tag prefix.
+	if ts := a.TagStats()["t"]; ts != (TagStat{BytesSent: 172, BytesReceived: 16, MessagesSent: 2}) {
+		t.Errorf("node1 tag stats %+v, want sent 172, received 16, 2 msgs", ts)
 	}
 	n.ResetStats()
 	if n.TotalBytes() != 0 {

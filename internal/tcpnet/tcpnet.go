@@ -13,9 +13,9 @@
 // Delivery preserves per-(sender, tag) FIFO order (messages from one
 // sender travel on one connection in order and are queued in order).
 // Traffic counters record the actual framed wire bytes (header + tag +
-// payload) on both sides, where the in-process hub adds a modeled
-// per-message overhead; both therefore approximate the same packet-capture
-// quantity. Confidentiality/integrity of the channel itself is expected
+// payload, network.FrameBytes) on both sides; the in-process hub charges
+// the same frame size, so both transports count the same bytes for the
+// same traffic. Confidentiality/integrity of the channel itself is expected
 // from the usual TLS layer in a real deployment; the DStress protocols
 // additionally never place bare secrets on the wire (shares are encrypted
 // or information-theoretically masked).
@@ -252,7 +252,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 			return
 		}
 		lastFrom, seen = from, true
-		n := frameBytes(tag, payload)
+		n := network.FrameBytes(tag, len(payload))
 		p.bytesRecv.Add(n)
 		if tag == identTag {
 			continue
@@ -381,7 +381,7 @@ func (p *Peer) conn(to network.NodeID) (net.Conn, error) {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet: greeting node %d: %w", to, err)
 	}
-	p.bytesSent.Add(frameBytes(identTag, nil))
+	p.bytesSent.Add(network.FrameBytes(identTag, 0))
 	p.dials[to] = c
 	return c, nil
 }
@@ -399,7 +399,7 @@ func (p *Peer) Send(to network.NodeID, tag string, payload []byte) error {
 	if err := writeFrame(c, p.id, tag, payload); err != nil {
 		return fmt.Errorf("tcpnet: send to %d: %w", to, err)
 	}
-	n := frameBytes(tag, payload)
+	n := network.FrameBytes(tag, len(payload))
 	p.bytesSent.Add(n)
 	p.msgsSent.Add(1)
 	tc := counterIn(&p.tagStats, network.TagPrefix(tag))
@@ -409,12 +409,6 @@ func (p *Peer) Send(to network.NodeID, tag string, payload []byte) error {
 	pc.bytesSent.Add(n)
 	pc.msgsSent.Add(1)
 	return nil
-}
-
-// frameBytes is the exact on-the-wire size of one message:
-// uint32 length | int32 from | uint16 tagLen | tag | payload.
-func frameBytes(tag string, payload []byte) int64 {
-	return int64(4 + 4 + 2 + len(tag) + len(payload))
 }
 
 // Recv blocks until a message from `from` with the given tag arrives, the

@@ -122,7 +122,7 @@ func TestTrafficCounters(t *testing.T) {
 	}
 	// Counters record full frames (10-byte header + tag + payload),
 	// including the one-time greeting frame on the new connection.
-	want := frameBytes(identTag, nil) + frameBytes("t", make([]byte, 100))
+	want := network.FrameBytes(identTag, 0) + network.FrameBytes("t", 100)
 	if s := a.Stats(); s.BytesSent != want || s.MessagesSent != 1 {
 		t.Errorf("sender stats %+v, want %d bytes", s, want)
 	}

@@ -203,21 +203,20 @@ func (rk RecipientKeys) Precompute() RecipientKeys {
 // hundred uncached exponentiations. (On the NIST curves a table neither
 // costs nor saves anything, since it delegates to the native ScalarMult;
 // the threshold is tuned for the modp group, the only one it speeds up.)
-// The use count depends on who holds
-// the cache — the simulated runtime plays all K+1 senders against one
-// cache ((K+1)·iterations uses per key), while a cluster node is a
-// single sender (iterations uses). Short runs skip precomputation so
-// tests and quick benchmarks don't regress.
+// The cache's holder is a single sender, so each key is used once per
+// iteration; uses accumulate across a deployment's queries. Short runs
+// skip precomputation so tests and quick benchmarks don't regress.
 func (p Params) PrecomputeWorthwhile(uses int) bool {
 	return uses >= 128
 }
 
 // CertKeyCache lazily precomputes certificate keys per (vertex, slot) and
-// keeps the tables for the lifetime of a run; vertex.Runtime and the
-// cluster node engine share this implementation. Each (vertex, slot) pair
-// belongs to exactly one edge and a caller sends on an edge at most once
-// per iteration, so a given entry is built by a single goroutine; the
-// mutex only guards the map against concurrent edges.
+// keeps the tables while the certificates stand; each vertex.Participant
+// (one per node, on either backend) holds one and replaces it when a
+// re-blocking re-issues certificates. Each (vertex, slot) pair belongs to
+// exactly one edge and a node sends on an edge at most once per iteration
+// of a query, so an entry is normally built by a single goroutine; the
+// mutex guards the map against concurrent edges and overlapping queries.
 type CertKeyCache struct {
 	mu      sync.Mutex
 	m       map[[2]int]RecipientKeys

@@ -101,10 +101,20 @@ func TestReconstructThenReshare(t *testing.T) {
 	}
 	shares[k1-1] = restored.State[0]
 
+	// Each block member's participant re-shares its own share among the
+	// block: all sends first, then every member collects its fresh share.
 	members := rt.setup.Assignment.Blocks[g.NodeOf(0)]
-	fresh, err := rt.reshare(context.Background(), shares, p.StateBits, members, members, network.Tag("q", 999, "a", 2, "recover", 0, "st"))
-	if err != nil {
-		t.Fatal(err)
+	tag := network.Tag("q", 999, "a", 2, "recover", 0, "st")
+	for m, id := range members {
+		if err := rt.parts[id].reshareSend(shares[m], p.StateBits, m, members, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := make([]uint64, len(members))
+	for y, id := range members {
+		if fresh[y], err = rt.parts[id].reshareRecv(context.Background(), members, tag); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got uint64
 	for _, s := range fresh {

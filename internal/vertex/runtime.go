@@ -2,24 +2,19 @@ package vertex
 
 import (
 	"context"
-	crand "crypto/rand"
+	"errors"
 	"fmt"
 	"runtime"
-	"strings"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dstress/internal/circuit"
-	"dstress/internal/dp"
-	"dstress/internal/elgamal"
 	"dstress/internal/gmw"
 	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/ot"
-	"dstress/internal/secretshare"
-	"dstress/internal/transfer"
 	"dstress/internal/trustedparty"
 )
 
@@ -52,9 +47,6 @@ type Config struct {
 	NoiseShift int
 	// OTMode selects dealer vs IKNP OT provisioning.
 	OTMode OTMode
-	// Parallelism caps concurrently executing block MPCs / transfers;
-	// 0 means GOMAXPROCS.
-	Parallelism int
 	// TablePFail is the per-decryption failure budget used to size the
 	// ElGamal lookup table (Appendix B); 0 means 1e-12.
 	TablePFail float64
@@ -64,11 +56,11 @@ type Config struct {
 	// and a root block combines the partials and adds the noise. 0 keeps
 	// the single aggregation block. The paper suggests a fan-in of 100.
 	AggFanIn int
-	// Recover enables phase-barrier checkpointing: at every barrier the
-	// runtime archives each node's share state and seals it into a
-	// per-node encrypted snapshot blob, paying the same per-barrier cost a
-	// cluster node pays to ship a ckptMsg. Off by default — a failed run
-	// then surfaces as an error, matching the fail-stop behavior tests pin.
+	// Recover enables phase-barrier checkpointing: at every barrier each
+	// participant archives its share registers and seals them into an
+	// encrypted snapshot blob, paying the per-barrier cost a cluster node
+	// pays to ship one. Off by default — a failed run then surfaces as an
+	// error, matching the fail-stop behavior tests pin.
 	Recover bool
 	// Chaos deterministically injects a node death mid-iteration (after the
 	// compute step of iteration Barrier, before its communicate) and drives
@@ -87,171 +79,53 @@ type ChaosSpec struct {
 }
 
 func (c *Config) defaults() {
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.TablePFail == 0 {
 		c.TablePFail = 1e-12
 	}
 }
 
-// Report summarizes an execution: the quantities Figures 3–6 plot.
-type Report struct {
-	// Phase wall-clock durations. Noising happens inside the aggregation
-	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
-	InitTime, ComputeTime, CommTime, AggTime time.Duration
-	// SetupTime is the one-time deployment-open cost: trusted-party setup,
-	// the pairwise base-OT handshakes, circuit compilation. Simulated runs
-	// pay it in New (before the first query); cluster nodes pay it inside
-	// the first job's Init phase. Per-query GMW sessions are derived
-	// locally from the warmed substrate / dealer seeds and are charged to
-	// the query that creates them. It is the same for every query of a
-	// standing deployment.
-	SetupTime time.Duration
-	// BaseOTHandshakes counts the pairwise base-OT bootstraps the
-	// deployment has performed (summed over all simulated nodes; per node
-	// in cluster reports). With the OT substrate this equals the number of
-	// ordered node pairs sharing at least one session — independent of the
-	// block count. Dealer-provisioned runs report 0.
-	BaseOTHandshakes int64
-	// Phase traffic totals. This layer reports what it can observe: a
-	// simulated run fills these with total bytes sent across all simulated
-	// nodes (session bootstrap happens in New, before any phase is
-	// charged); a cluster node fills them with its own sent+received bytes,
-	// and its Init phase additionally includes the GMW/OT session
-	// handshakes. The dstress.Report facade folds the cluster's per-node
-	// tables back into total bytes sent (Σ sent+received over nodes,
-	// halved), so at the facade level both modes report the same quantity —
-	// see the Report doc in engine.go, and TestClusterByteAccounting for
-	// the pinned relationship.
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
-	// AvgNodeBytes and MaxNodeBytes summarize per-node traffic.
-	AvgNodeBytes float64
-	MaxNodeBytes int64
-	// Iterations actually executed.
-	Iterations int
-	// UpdateAndGates and AggAndGates record circuit sizes (cost drivers).
-	UpdateAndGates, AggAndGates int
-	// Recoveries counts node deaths this query survived by re-blocking;
-	// ReplayedBarriers counts the lock-step barriers re-executed to resume.
-	Recoveries, ReplayedBarriers int
-}
-
-// TotalTime returns the summed phase durations.
-func (r *Report) TotalTime() time.Duration {
-	return r.InitTime + r.ComputeTime + r.CommTime + r.AggTime
-}
-
-// TotalBytes returns the summed phase traffic.
-func (r *Report) TotalBytes() int64 {
-	return r.InitBytes + r.ComputeBytes + r.CommBytes + r.AggBytes
-}
-
-// Runtime executes one program over one graph. It simulates the distributed
-// deployment in-process: every node's protocol role runs in its own
-// goroutine against the shared network hub, and the hub's counters provide
-// the traffic measurements.
+// Runtime simulates a deployment in one process: an in-process trusted
+// party sets it up, and one Participant per node plays that node's roles
+// on its own endpoint of a shared hub, whose counters provide the traffic
+// measurements. The participants share the deployment's immutable
+// artifacts (verified setup, update circuit, aggregation plans, ElGamal
+// table), so the simulation pays each build once, not once per node.
 type Runtime struct {
 	cfg   Config
-	prog  *Program
 	graph *Graph
 	net   *network.Network
+	dep   *Deployment
 
-	setup   *trustedparty.SetupResult
-	secrets map[network.NodeID]trustedparty.NodeSecrets
-	// tp and regs are retained from setup so a chaos recovery can re-block
-	// around a dead node: Reblock re-signs the substituted assignment and
-	// re-issues certificates from the registrations, exactly as the cluster
-	// coordinator does. recKey seals per-barrier checkpoint blobs.
+	// tp and regs are retained from setup so a recovery can re-block
+	// around a dead node exactly as the cluster coordinator does. recKey
+	// is the fleet recovery key sealing checkpoint blobs.
 	tp     *trustedparty.TrustedParty
 	regs   []trustedparty.NodeRegistration
 	recKey []byte
-	// chaosFired latches the injected death: one deployment loses the
-	// victim once, after which every query runs on the re-blocked fleet.
-	chaosFired atomic.Bool
-
-	updCirc *circuit.Circuit
-
-	// broker is the deployment-wide dealer broker (OTDealer): one per
-	// runtime, with every GMW session drawing its own tag-derived stream.
+	// broker is the deployment-wide dealer broker (OTDealer): every GMW
+	// session draws its own tag-derived stream from it.
 	broker *ot.DealerBroker
-	// substrates holds each simulated node's pairwise OT substrate
-	// (OTIKNP): the base-OT handshake runs once per ordered node pair per
-	// deployment, regardless of how many block sessions the pair shares.
-	subMu      sync.Mutex
-	substrates map[network.NodeID]*ot.Substrate
 	// setupTime is the one-time deployment bootstrap cost measured in New.
 	setupTime time.Duration
-
-	// aggPlans caches the per-ε aggregation machinery: a standing runtime
-	// (Session) answers queries at different privacy budgets, and each
-	// budget needs its own noise spec and aggregation circuit. Keyed by ε.
-	planMu   sync.Mutex
-	aggPlans map[float64]*aggPlan
-
 	// qid hands out query ids for callers that don't bring their own
 	// (Run/RunQuery); the session facade assigns ids itself via RunQueryID.
 	qid atomic.Int64
-	// certUses accumulates certificate-key uses across queries so a
-	// standing deployment eventually amortizes the fixed-base tables even
-	// when each individual query is short. Guarded by certMu: concurrent
-	// queries charge it independently.
-	certMu   sync.Mutex
-	certUses int
+	// deaths carries the chaos victim's death notice to the attempt that
+	// is running the query.
+	deaths chan network.NodeID
 
-	table  *elgamal.Table
-	tparam transfer.Params
-
-	// certCache holds precomputed fixed-base tables for the block
-	// certificates for the lifetime of the run. Certificate keys are
-	// reused by every sender in every iteration, so the tables are built
-	// lazily on an edge's first transfer; Run enables the cache only when
-	// the iteration count amortizes the build cost.
-	certCache *transfer.CertKeyCache
+	// mu guards what a recovery rewrites: the assignment, the live
+	// participants, and the shipped checkpoints (seq → node → barrier →
+	// sealed blob).
+	mu    sync.Mutex
+	setup *trustedparty.SetupResult
+	parts map[network.NodeID]*Participant
+	ckpts map[int]map[network.NodeID]map[int][]byte
 }
 
-// queryRun is the per-query execution state. Everything here used to be a
-// singleton on Runtime, which forced one-query-at-a-time execution; keying
-// it by query makes overlapping queries on one standing deployment safe.
-// Sessions are cheap: after New's warm-up, creating them is pure local
-// seed derivation (substrate) or broker stream derivation (dealer), with
-// every wire tag living under the query's "q/<id>" root so two queries'
-// protocol messages can never collide on the transport.
-type queryRun struct {
-	root string // "q/<id>": the tag namespace all traffic lives under
-	// proto is the attempt-versioned protocol namespace: equal to root for
-	// the first attempt, "q/<id>/a/<attempt>" after a recovery, so a
-	// resumed attempt's GMW/transfer/OT streams can never collide with
-	// stale messages from the superseded one. Byte accounting and retire
-	// stay keyed by root, which covers both.
-	proto      string
-	attempt    int
-	sessions   [][]*gmw.Party
-	aggSession []*gmw.Party
-
-	// Share state, indexed [vertex][member]: each member's current share.
-	stateShares [][]uint64
-	// msgShares[vertex][slot][member]: input-message shares for next step.
-	msgShares [][][]uint64
-
-	// Barrier checkpoints (Config.Recover / Chaos): archive holds the full
-	// share state per barrier, ckpts the per-node encrypted snapshot blobs
-	// a cluster node would ship to the coordinator. lastBarrier is the
-	// newest archived barrier.
-	archive     map[int]*barrierState
-	ckpts       map[int]map[network.NodeID][]byte
-	lastBarrier int
-}
-
-// barrierState is a deep copy of the share arrays at one barrier.
-type barrierState struct {
-	state [][]uint64
-	msgs  [][][]uint64
-}
-
-// New builds a runtime: trusted-party setup, block GMW sessions, circuit
-// compilation, initial share state. ctx bounds the deployment bootstrap
-// (the pairwise base-OT warm-up blocks on in-process peers).
+// New builds a runtime: trusted-party setup, circuit compilation, one
+// participant per node, and the pairwise base-OT warm-up. ctx bounds the
+// bootstrap (the warm-up blocks on in-process peers).
 func New(ctx context.Context, cfg Config, prog *Program, g *Graph) (*Runtime, error) {
 	cfg.defaults()
 	if err := prog.Validate(); err != nil {
@@ -269,23 +143,11 @@ func New(ctx context.Context, cfg Config, prog *Program, g *Graph) (*Runtime, er
 
 	setupStart := time.Now()
 	r := &Runtime{
-		cfg: cfg, prog: prog, graph: g, net: network.New(),
-		certCache:  transfer.NewCertKeyCache(),
-		substrates: make(map[network.NodeID]*ot.Substrate),
+		cfg: cfg, graph: g, net: network.New(),
+		deaths: make(chan network.NodeID, 1),
+		parts:  make(map[network.NodeID]*Participant, g.N()),
+		ckpts:  make(map[int]map[network.NodeID]map[int][]byte),
 	}
-	if cfg.OTMode == OTDealer {
-		r.broker = ot.NewDealerBroker()
-	}
-
-	var err error
-	if r.updCirc, err = prog.UpdateCircuit(g.D); err != nil {
-		return nil, err
-	}
-	r.aggPlans = make(map[float64]*aggPlan)
-	if _, err = r.planFor(cfg.Epsilon); err != nil {
-		return nil, err
-	}
-
 	// Trusted-party setup (§3.4).
 	tpParams := trustedparty.Params{Group: cfg.Group, K: cfg.K, D: g.D, L: prog.MsgBits, Recoverable: cfg.Recover}
 	tp, err := trustedparty.New(tpParams)
@@ -293,210 +155,151 @@ func New(ctx context.Context, cfg Config, prog *Program, g *Graph) (*Runtime, er
 		return nil, err
 	}
 	regs := make([]trustedparty.NodeRegistration, g.N())
-	r.secrets = make(map[network.NodeID]trustedparty.NodeSecrets, g.N())
-	for v := 0; v < g.N(); v++ {
+	secrets := make(map[network.NodeID]trustedparty.NodeSecrets, g.N())
+	for v := range regs {
 		id := g.NodeOf(v)
 		reg, sec, err := trustedparty.RegisterNode(tpParams, id)
 		if err != nil {
 			return nil, err
 		}
-		regs[v] = reg
-		r.secrets[id] = sec
+		regs[v], secrets[id] = reg, sec
 	}
 	if r.setup, err = tp.Setup(regs); err != nil {
 		return nil, err
 	}
 	r.tp, r.regs = tp, regs
-	if cfg.Recover || cfg.Chaos != nil {
+	if r.dep, err = NewDeployment(cfg, prog, g, r.setup); err != nil {
+		return nil, err
+	}
+	// The configured budget's aggregation circuit compiles here, as part
+	// of setup; other budgets compile on their first query.
+	if _, err := r.dep.aggCircuit(ctx, r.dep.planFor(cfg.Epsilon)); err != nil {
+		return nil, err
+	}
+	recoverOn := cfg.Recover || cfg.Chaos != nil
+	if recoverOn {
 		if r.recKey, err = NewRecoveryKey(); err != nil {
 			return nil, err
 		}
 	}
-
-	r.tparam = transfer.Params{Group: cfg.Group, K: cfg.K, L: prog.MsgBits, Alpha: cfg.Alpha}
-	if err := r.tparam.Validate(); err != nil {
-		return nil, err
+	if cfg.OTMode == OTDealer {
+		r.broker = ot.NewDealerBroker()
 	}
-	r.table = r.tparam.MakeTable(cfg.TablePFail)
 
-	if err := r.warmSubstrates(ctx); err != nil {
+	subs := make(map[network.NodeID]*ot.Substrate)
+	for v := 0; v < g.N(); v++ {
+		id := g.NodeOf(v)
+		ep := r.net.Endpoint(id)
+		pc := ParticipantConfig{ID: id, Transport: ep, Secrets: secrets[id], Recover: recoverOn, Ship: r.shipper(id)}
+		switch cfg.OTMode {
+		case OTDealer:
+			pc.OT = gmw.DealerOT{Broker: r.broker}
+		case OTIKNP:
+			subs[id] = ot.NewSubstrate(cfg.Group, ep)
+			pc.OT = gmw.SubstrateOT{Sub: subs[id]}
+		default:
+			return nil, fmt.Errorf("vertex: unknown OT mode %d", cfg.OTMode)
+		}
+		if c := cfg.Chaos; c != nil && c.Victim == id {
+			pc.Chaos = &Chaos{Barrier: c.Barrier, Kill: func() {
+				select {
+				case r.deaths <- id:
+				default:
+				}
+			}}
+		}
+		if r.parts[id], err = NewParticipant(r.dep, pc); err != nil {
+			return nil, err
+		}
+	}
+	if err := warmSubstrates(ctx, subs, r.setup.Assignment); err != nil {
 		return nil, err
 	}
 	r.setupTime = time.Since(setupStart)
+	for _, p := range r.parts {
+		p.SetupPaid(r.setupTime)
+	}
 	return r, nil
 }
 
 // warmSubstrates pays the pairwise base-OT handshakes up front (OTIKNP):
-// every unordered node pair that shares at least one block or aggregation
-// session handshakes once, so per-query session creation afterwards is
-// purely local seed derivation and overlapping queries never contend on a
-// bootstrap. Dealer mode has nothing to warm.
-func (r *Runtime) warmSubstrates(ctx context.Context) error {
-	if r.cfg.OTMode != OTIKNP {
+// every unordered node pair sharing a block or the aggregation block
+// handshakes once, at most GOMAXPROCS pairs at a time, so queries derive
+// their sessions locally and overlapping queries never contend on a
+// bootstrap. The handshake is symmetric, so both directions of a pair run
+// concurrently.
+func warmSubstrates(ctx context.Context, subs map[network.NodeID]*ot.Substrate, a trustedparty.Assignment) error {
+	if len(subs) == 0 {
 		return nil
 	}
 	type upair struct{ a, b network.NodeID }
 	pairs := make(map[upair]bool)
 	addBlock := func(members []network.NodeID) {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				a, b := members[i], members[j]
-				if a == b {
-					continue
+		for i, x := range members {
+			for _, y := range members[i+1:] {
+				if x != y {
+					pairs[upair{min(x, y), max(x, y)}] = true
 				}
-				if b < a {
-					a, b = b, a
-				}
-				pairs[upair{a, b}] = true
 			}
 		}
 	}
-	for v := 0; v < r.graph.N(); v++ {
-		addBlock(r.setup.Assignment.Blocks[r.graph.NodeOf(v)])
+	for _, members := range a.Blocks {
+		addBlock(members)
 	}
-	addBlock(r.setup.Assignment.AggBlock)
-	list := make([]upair, 0, len(pairs))
-	for p := range pairs {
-		list = append(list, p)
+	addBlock(a.AggBlock)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	errs := make(chan error, len(pairs))
+	var wg sync.WaitGroup
+	for pr := range pairs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			other := make(chan error, 1)
+			go func() { other <- subs[pr.b].Warm(ctx, pr.a) }()
+			errs <- errors.Join(subs[pr.a].Warm(ctx, pr.b), <-other)
+		}()
 	}
-	// The handshake is symmetric, so both directions of a pair must run
-	// concurrently — they live in one parallelFor body and cannot deadlock
-	// across bodies.
-	return r.parallelFor(len(list), func(i int) error {
-		p := list[i]
-		var wg sync.WaitGroup
-		var ea, eb error
-		wg.Add(2)
-		go func() { defer wg.Done(); ea = r.substrate(p.a).Warm(ctx, p.b) }()
-		go func() { defer wg.Done(); eb = r.substrate(p.b).Warm(ctx, p.a) }()
-		wg.Wait()
-		if ea != nil {
-			return ea
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			return err
 		}
-		return eb
-	})
-}
-
-// createSessions builds the GMW sessions for one query: every vertex block
-// plus the aggregation block, with all tags under the query's root.
-func (r *Runtime) createSessions(ctx context.Context, qr *queryRun) error {
-	g := r.graph
-	qr.sessions = make([][]*gmw.Party, g.N())
-
-	mkSession := func(members []network.NodeID, tag string) ([]*gmw.Party, error) {
-		parties := make([]*gmw.Party, len(members))
-		errs := make([]error, len(members))
-		// Each member attaches with its own node-scoped OT provisioning:
-		// the shared deployment broker (dealer) or the node's pairwise
-		// substrate (IKNP), so session creation never re-runs a base-OT
-		// bootstrap a pair has already paid for.
-		opt := func(id network.NodeID) (gmw.OTOption, error) {
-			switch r.cfg.OTMode {
-			case OTDealer:
-				return gmw.DealerOT{Broker: r.broker}, nil
-			case OTIKNP:
-				return gmw.SubstrateOT{Sub: r.substrate(id)}, nil
-			default:
-				return nil, fmt.Errorf("vertex: unknown OT mode %d", r.cfg.OTMode)
-			}
-		}
-		var wg sync.WaitGroup
-		for i := range members {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				o, err := opt(members[i])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				// All members run in-process, so the handshake cannot block
-				// on an absent peer, but the query's ctx still bounds it.
-				parties[i], errs[i] = gmw.NewParty(ctx, gmw.Config{
-					Parties: members, Index: i, Transport: r.net.Endpoint(members[i]), Tag: tag, OT: o,
-				})
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return parties, nil
 	}
-
-	if err := r.parallelFor(g.N(), func(v int) error {
-		members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-		s, err := mkSession(members, network.Tag(qr.proto, "blk", v))
-		qr.sessions[v] = s
-		return err
-	}); err != nil {
-		return err
-	}
-	agg, err := mkSession(r.setup.Assignment.AggBlock, network.Tag(qr.proto, "aggblk"))
-	if err != nil {
-		return err
-	}
-	qr.aggSession = agg
 	return nil
 }
 
-// substrate returns (creating on first use) node id's pairwise OT
-// substrate. One substrate per simulated node, shared by every session the
-// node is a member of.
-func (r *Runtime) substrate(id network.NodeID) *ot.Substrate {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	s, ok := r.substrates[id]
-	if !ok {
-		s = ot.NewSubstrate(r.cfg.Group, r.net.Endpoint(id))
-		r.substrates[id] = s
+// shipper stores node id's shipped checkpoints the way the cluster
+// coordinator does: by query, node and barrier, sealed.
+func (r *Runtime) shipper(id network.NodeID) func(Checkpoint) {
+	return func(c Checkpoint) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		byNode := r.ckpts[c.Seq]
+		if byNode == nil {
+			byNode = make(map[network.NodeID]map[int][]byte)
+			r.ckpts[c.Seq] = byNode
+		}
+		if byNode[id] == nil {
+			byNode[id] = make(map[int][]byte)
+		}
+		byNode[id][c.Barrier] = c.Blob
 	}
-	return s
 }
 
 // BaseOTHandshakes returns the deployment-wide count of pairwise base-OT
-// bootstraps, summed over all simulated nodes: one per ordered node pair
-// that shares at least one GMW session, independent of the block count.
+// bootstraps, summed over the live nodes: one per ordered node pair that
+// shares at least one GMW session, independent of the block count.
 func (r *Runtime) BaseOTHandshakes() int64 {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var total int64
-	for _, s := range r.substrates {
-		total += s.Handshakes()
+	for _, p := range r.parts {
+		total += p.Handshakes()
 	}
 	return total
-}
-
-// aggPlan bundles the ε-dependent half of an execution: the noise spec and
-// the compiled flat-aggregation circuit (tree roots compile per run, they
-// depend on the group count).
-type aggPlan struct {
-	epsilon float64
-	noise   NoiseSpec
-	circ    *circuit.Circuit
-}
-
-// planFor returns (compiling and caching on first use) the aggregation plan
-// for the given privacy budget.
-func (r *Runtime) planFor(epsilon float64) (*aggPlan, error) {
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
-	if pl, ok := r.aggPlans[epsilon]; ok {
-		return pl, nil
-	}
-	pl := &aggPlan{epsilon: epsilon}
-	if epsilon > 0 {
-		pl.noise = DefaultNoiseSpec(epsilon, r.prog.Sensitivity, r.cfg.NoiseShift)
-	}
-	var err error
-	if pl.circ, err = r.prog.AggregateCircuit(r.graph.N(), pl.noise); err != nil {
-		return nil, err
-	}
-	r.aggPlans[epsilon] = pl
-	return pl, nil
 }
 
 // Run executes `iterations` computation+communication steps, a final
@@ -515,983 +318,229 @@ func (r *Runtime) RunQuery(ctx context.Context, iterations int, epsilon float64)
 
 // RunQueryID executes one query against the standing deployment at the
 // given privacy budget, with all of its protocol traffic namespaced under
-// the "q/<qid>" tag root. The trusted-party setup, base-OT handshakes, and
-// fixed-base tables built in New are reused across calls; the query's GMW
-// sessions are derived locally from the warmed substrate (or dealer
-// broker) seeds, so distinct qids yield cryptographically independent
-// streams and overlapping calls interleave safely on one transport.
+// the "q/<qid>" tag root: every live participant runs it concurrently, and
+// their per-node reports fold (FoldReports) into the returned one. The
+// setup, base-OT handshakes and compiled circuits built in New are reused
+// across calls, so overlapping calls interleave safely on one hub. When
+// the chaos victim dies, the runtime plays the cluster coordinator's part
+// in-process: cancel the attempt, re-block around the casualty, and resume
+// the survivors from the latest common barrier under "q/<qid>/a/<n>".
 // Callers must not reuse a qid that is still in flight; the session facade
 // hands out unique ids.
 func (r *Runtime) RunQueryID(ctx context.Context, qid, iterations int, epsilon float64) (int64, *Report, error) {
-	plan, err := r.planFor(epsilon)
-	if err != nil {
-		return 0, nil, err
-	}
-	rep := &Report{
-		Iterations:       iterations,
-		UpdateAndGates:   r.updCirc.NumAnd,
-		AggAndGates:      plan.circ.NumAnd,
-		SetupTime:        r.setupTime,
-		BaseOTHandshakes: r.BaseOTHandshakes(),
-	}
-	// All K+1 senders of an edge share this in-process cache, so each
-	// certificate key is used (K+1)·iterations times per query; uses
-	// accumulate across a session's queries.
-	r.certMu.Lock()
-	r.certUses += iterations * (r.cfg.K + 1)
-	if r.tparam.PrecomputeWorthwhile(r.certUses) {
-		r.certCache.Enable()
-	}
-	r.certMu.Unlock()
-
-	g := r.graph
-	qr := &queryRun{root: network.Tag("q", qid), attempt: 1, lastBarrier: -1}
-	qr.proto = qr.root
-	if r.cfg.Recover || r.cfg.Chaos != nil {
-		qr.archive = make(map[int]*barrierState)
-		qr.ckpts = make(map[int]map[network.NodeID][]byte)
-	}
-	if err := r.createSessions(ctx, qr); err != nil {
-		return 0, nil, err
-	}
+	root := network.Tag("q", qid)
 	// Retire the query's namespace on every exit: per-prefix counters,
-	// per-query node stats, drained mailboxes, and dealer stream entries
-	// would otherwise accumulate per query for the life of the deployment.
+	// drained mailboxes, dealer streams and checkpoints would otherwise
+	// accumulate per query for the life of the deployment.
 	defer func() {
-		r.net.RetireTagPrefix(qr.root)
+		r.net.RetireTagPrefix(root)
 		if r.broker != nil {
-			r.broker.RetireTagPrefix(qr.root)
+			r.broker.RetireTagPrefix(root)
 		}
+		r.mu.Lock()
+		delete(r.ckpts, qid)
+		r.mu.Unlock()
 	}()
-	qr.stateShares = make([][]uint64, g.N())
-	qr.msgShares = make([][][]uint64, g.N())
-	for v := range qr.msgShares {
-		qr.msgShares[v] = make([][]uint64, g.D)
-	}
-
-	// Phase traffic is read from the per-query counters, so overlapping
-	// queries each report exactly their own bytes.
-	phaseStart := func() (time.Time, int64) { return time.Now(), r.net.QueryBytes(qr.root) }
-	tr := obs.From(ctx)
-
-	// --- Initialization (§3.6): owners split and distribute shares. ---
-	// Each phase announces itself to the context's progress callback (the
-	// serve layer's live "phase" field) before doing any work; the same
-	// names the cluster engine reports, so both backends look alike to a
-	// watchdog.
-	t0, b0 := phaseStart()
-	obs.ReportProgress(ctx, "phase/init")
-	if err := r.initShares(ctx, qr); err != nil {
-		return 0, nil, err
-	}
-	rep.InitTime = time.Since(t0)
-	rep.InitBytes = r.net.QueryBytes(qr.root) - b0
-	tr.SpanDur("phase/init", t0, rep.InitTime)
-	if err := r.recordBarrier(qr, 0); err != nil {
-		return 0, nil, err
-	}
-
-	// --- Iterations. ---
-	for it := 0; it <= iterations; {
-		t0, b0 = phaseStart()
-		obs.ReportProgress(ctx, fmt.Sprintf("iter/%d/compute", it))
-		outShares, err := r.computeStep(ctx, qr, it)
-		if err != nil {
-			return 0, nil, fmt.Errorf("vertex: iteration %d compute: %w", it, err)
-		}
-		rep.ComputeTime += time.Since(t0)
-		rep.ComputeBytes += r.net.QueryBytes(qr.root) - b0
-		if tr != nil {
-			tr.Span(fmt.Sprintf("iter/%d/compute", it), t0)
-		}
-
-		// Deterministic fault injection: the victim dies after this
-		// iteration's compute, taking its un-checkpointed progress with it.
-		// Recovery re-blocks, restores the last barrier, and replays.
-		if c := r.cfg.Chaos; c != nil && it == c.Barrier && r.chaosFired.CompareAndSwap(false, true) {
+	req := RunRequest{Seq: qid, Attempt: 1, FromBarrier: -1, Iterations: iterations, Epsilon: epsilon, RecKey: r.recKey}
+	recoveries := 0
+	for {
+		results, dead, err := r.attempt(ctx, req)
+		if dead != 0 {
 			obs.ReportProgress(ctx, "recover")
-			if err := r.simRecover(ctx, qr, c.Victim, it, rep); err != nil {
-				return 0, nil, fmt.Errorf("vertex: recovery from node %d death: %w", c.Victim, err)
+			from, err := r.recover(qid, dead)
+			if err != nil {
+				return 0, nil, fmt.Errorf("vertex: recovery from node %d death: %w", dead, err)
 			}
-			it = qr.lastBarrier
+			recoveries++
+			req.Attempt++
+			req.FromBarrier = from
 			continue
 		}
-
-		if it == iterations {
-			break // final computation step: no communication follows
-		}
-		t0, b0 = phaseStart()
-		obs.ReportProgress(ctx, fmt.Sprintf("iter/%d/communicate", it))
-		if err := r.communicateStep(ctx, qr, it, outShares); err != nil {
-			return 0, nil, fmt.Errorf("vertex: iteration %d communicate: %w", it, err)
-		}
-		rep.CommTime += time.Since(t0)
-		rep.CommBytes += r.net.QueryBytes(qr.root) - b0
-		if tr != nil {
-			tr.Span(fmt.Sprintf("iter/%d/communicate", it), t0)
-		}
-		if err := r.recordBarrier(qr, it+1); err != nil {
+		if err != nil {
 			return 0, nil, err
 		}
-		it++
-	}
-
-	// --- Aggregation + noising (§3.6). ---
-	t0, b0 = phaseStart()
-	obs.ReportProgress(ctx, "phase/agg")
-	result, err := r.aggregate(ctx, qr, plan)
-	if err != nil {
-		return 0, nil, fmt.Errorf("vertex: aggregation: %w", err)
-	}
-	rep.AggTime = time.Since(t0)
-	rep.AggBytes = r.net.QueryBytes(qr.root) - b0
-	tr.SpanDur("phase/agg", t0, rep.AggTime)
-
-	rep.AvgNodeBytes = r.net.QueryAvgNodeBytes(qr.root)
-	rep.MaxNodeBytes = r.net.QueryMaxNodeBytes(qr.root)
-	if tr != nil {
-		for prefix, ts := range r.net.TagStats() {
-			// Namespace-membership test, not a tag construction.
-			if prefix != qr.root && !strings.HasPrefix(prefix, qr.root+"/") { //dstress:tag-ok
-				continue
+		reps := make(map[network.NodeID]Report, len(results))
+		stats := make(map[network.NodeID]network.Stats, len(results))
+		var opened []int64
+		for id, res := range results {
+			reps[id], stats[id] = res.Report, res.Stats
+			if res.HasResult {
+				opened = append(opened, res.Result)
 			}
-			tr.Add("net/"+prefix+"/bytes_sent", ts.BytesSent)
-			tr.Add("net/"+prefix+"/msgs_sent", ts.MessagesSent)
 		}
+		// Every aggregation-block member opened the aggregate; they must agree.
+		if len(opened) == 0 {
+			return 0, nil, fmt.Errorf("vertex: no aggregation member opened the result")
+		}
+		for _, o := range opened[1:] {
+			if o != opened[0] {
+				return 0, nil, fmt.Errorf("vertex: aggregation members disagree: %d vs %d", opened[0], o)
+			}
+		}
+		rep := FoldReports(reps, stats)
+		rep.Recoveries = recoveries
+		return opened[0], &rep, nil
 	}
-	return result, rep, nil
 }
 
-// initShares distributes the owner-generated initial shares: state plus D
-// copies of ⊥ per vertex (§3.6), sent over the network so setup traffic is
-// accounted. Vertices are independent, so the distribution runs under the
-// Config.Parallelism semaphore like every other per-vertex phase.
-func (r *Runtime) initShares(ctx context.Context, qr *queryRun) error {
-	k1 := r.cfg.K + 1
-	return r.parallelFor(r.graph.N(), func(v int) error {
-		if err := r.initSharesVertex(ctx, qr, v, k1); err != nil {
-			return fmt.Errorf("vertex %d init: %w", v, err)
-		}
-		return nil
-	})
-}
-
-// parallelFor runs fn(0) … fn(n−1) concurrently, at most Config.Parallelism
-// at a time, and returns the lowest-index error. Every per-vertex and
-// per-edge phase of the runtime uses it; bodies must only write state
-// owned by their index.
-func (r *Runtime) parallelFor(n int, fn func(i int) error) error {
-	sem := make(chan struct{}, r.cfg.Parallelism)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			errs[i] = fn(i)
-		}()
+// attempt runs one attempt of a query on every live participant
+// concurrently. The first failure cancels the others, so the attempt
+// returns promptly; a death announced by the chaos hook cancels the
+// attempt and is returned as dead. When the caller traces, each
+// participant records into its own node-attributed trace, and a completed
+// attempt's traces merge into the caller's.
+func (r *Runtime) attempt(ctx context.Context, req RunRequest) (map[network.NodeID]*NodeResult, network.NodeID, error) {
+	r.mu.Lock()
+	parts := make(map[network.NodeID]*Participant, len(r.parts))
+	for id, p := range r.parts {
+		parts[id] = p
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// initSharesVertex runs one vertex's share distribution: the owner splits
-// and sends, the members receive. Only indices of vertex v are written.
-func (r *Runtime) initSharesVertex(ctx context.Context, qr *queryRun, v, k1 int) error {
-	g := r.graph
-	// The acting owner is the block's first member — the original owner
-	// until a recovery substitutes a replacement into the slot.
-	owner := r.ownerOf(v)
-	members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-	ownerEP := r.net.Endpoint(owner)
-	tag := network.Tag(qr.proto, "init", v)
-
-	st := secretshare.SplitXOR(uint64(g.InitState[v]), k1, r.prog.StateBits)
-	msgs := make([][]uint64, g.D)
-	for d := range msgs {
-		msgs[d] = secretshare.SplitXOR(uint64(r.prog.NoOp), k1, r.prog.MsgBits)
-	}
-	// Owner keeps its own share (index 0) and sends the rest.
-	for m := 1; m < k1; m++ {
-		payload := EncodeShares(append([]uint64{st[m]}, Column(msgs, m)...))
-		if err := ownerEP.Send(members[m], tag, payload); err != nil {
-			return err
-		}
-	}
-	qr.stateShares[v] = make([]uint64, k1)
-	qr.stateShares[v][0] = st[0]
-	for d := range msgs {
-		qr.msgShares[v][d] = make([]uint64, k1)
-		qr.msgShares[v][d][0] = msgs[d][0]
-	}
-	// Members receive their shares.
-	for m := 1; m < k1; m++ {
-		data, err := r.net.Endpoint(members[m]).Recv(ctx, owner, tag)
-		if err != nil {
-			return err
-		}
-		vals, err := DecodeShares(data, 1+g.D)
-		if err != nil {
-			return err
-		}
-		qr.stateShares[v][m] = vals[0]
-		for d := 0; d < g.D; d++ {
-			qr.msgShares[v][d][m] = vals[1+d]
-		}
-	}
-	return nil
-}
-
-// computeStep runs every block's update MPC; returns outShares[v][slot][m].
-func (r *Runtime) computeStep(ctx context.Context, qr *queryRun, iter int) ([][][]uint64, error) {
-	g := r.graph
+	r.mu.Unlock()
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	tr := obs.From(ctx)
-	out := make([][][]uint64, g.N())
-	if err := r.parallelFor(g.N(), func(v int) error {
-		t0 := time.Now()
-		res, err := r.runBlockMPC(ctx, qr, v)
-		if err != nil {
-			return fmt.Errorf("block %d: %w", v, err)
+	var progress *fleetProgress
+	if fn := obs.ProgressFrom(ctx); fn != nil {
+		progress = &fleetProgress{fn: fn, steps: make(map[network.NodeID]int, len(parts))}
+		for id := range parts {
+			progress.steps[id] = 0
 		}
-		if tr != nil { // guard: the name formatting allocates
-			tr.Span(fmt.Sprintf("iter/%d/blk/%d/gmw", iter, v), t0)
-		}
-		out[v] = res
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	return out, nil
-}
 
-// runBlockMPC executes one vertex's update circuit in its block session.
-func (r *Runtime) runBlockMPC(ctx context.Context, qr *queryRun, v int) ([][]uint64, error) {
-	g := r.graph
-	k1 := r.cfg.K + 1
-	parties := qr.sessions[v]
-
-	outShares := make([][]uint64, g.D) // [slot][member]
-	for d := range outShares {
-		outShares[d] = make([]uint64, k1)
-	}
-	newState := make([]uint64, k1)
-
+	traces := make(map[network.NodeID]*obs.Trace, len(parts))
+	results := make(map[network.NodeID]*NodeResult, len(parts))
+	var mu sync.Mutex
+	var firstErr error
 	var wg sync.WaitGroup
-	errs := make([]error, k1)
-	for m := 0; m < k1; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in := r.memberInput(qr, v, m)
-			outBits, err := parties[m].Evaluate(ctx, r.updCirc, in)
-			if err != nil {
-				errs[m] = err
-				return
-			}
-			newState[m] = BitsToWord(outBits[:r.prog.StateBits])
-			for d := 0; d < g.D; d++ {
-				lo := r.prog.StateBits + d*r.prog.MsgBits
-				outShares[d][m] = BitsToWord(outBits[lo : lo+r.prog.MsgBits])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	qr.stateShares[v] = newState
-	return outShares, nil
-}
-
-// memberInput assembles member m's input-share bits for vertex v's update:
-// [state | priv | msgs]. The owner (member 0) supplies the private vertex
-// data; everyone else contributes zero shares for it.
-func (r *Runtime) memberInput(qr *queryRun, v, m int) []uint8 {
-	g := r.graph
-	in := WordToBits(qr.stateShares[v][m], r.prog.StateBits)
-	privBits := r.prog.PrivBits(g.D)
-	if m == 0 {
-		in = append(in, g.Priv[v]...)
-	} else {
-		in = append(in, make([]uint8, privBits)...)
-	}
-	for d := 0; d < g.D; d++ {
-		in = append(in, WordToBits(qr.msgShares[v][d][m], r.prog.MsgBits)...)
-	}
-	return in
-}
-
-// communicateStep runs the transfer protocol over every edge and refreshes
-// padding slots with shares of ⊥.
-func (r *Runtime) communicateStep(ctx context.Context, qr *queryRun, iter int, outShares [][][]uint64) error {
-	g := r.graph
-	k1 := r.cfg.K + 1
-
-	// Refresh all input slots with ⊥ shares first; transfers overwrite the
-	// slots that have real in-edges.
-	for v := 0; v < g.N(); v++ {
-		for d := 0; d < g.D; d++ {
-			sh := make([]uint64, k1)
-			sh[0] = uint64(r.prog.NoOp) & secretshare.Mask(r.prog.MsgBits)
-			qr.msgShares[v][d] = sh
-		}
-	}
-
-	edges := g.Edges()
-	slotIns := make([]int, len(edges))
-	for i, e := range edges {
-		slotIn, err := g.InSlot(e[0], e[1])
-		if err != nil {
-			return err
-		}
-		slotIns[i] = slotIn
-	}
-	// Each edge owns a distinct (v, slotIn) message slot, so the bodies
-	// write disjoint state.
-	tr := obs.From(ctx)
-	return r.parallelFor(len(edges), func(i int) error {
-		u, v := edges[i][0], edges[i][1]
-		t0 := time.Now()
-		fresh, err := r.runTransfer(ctx, qr, iter, u, v, slotIns[i], outShares[u][OutSlot(g, u, v)])
-		if err != nil {
-			return fmt.Errorf("edge (%d,%d): %w", u, v, err)
-		}
+	for id, p := range parts {
+		pctx := actx
 		if tr != nil {
-			tr.Span(fmt.Sprintf("tx/%d/%d/%d", iter, u, v), t0)
+			nt := obs.NewTrace(int32(id))
+			nt.SetQuery(network.Tag("q", req.Seq))
+			traces[id] = nt
+			pctx = obs.With(pctx, nt)
 		}
-		qr.msgShares[v][slotIns[i]] = fresh
-		return nil
-	})
-}
-
-// runTransfer moves one message's shares from B_u to B_v (§3.5): the
-// members of B_u send encrypted subshares through node u, which aggregates
-// and noises them; node v adjusts and fans out to B_v's members.
-func (r *Runtime) runTransfer(ctx context.Context, qr *queryRun, iter, u, v, slotIn int, shares []uint64) ([]uint64, error) {
-	g := r.graph
-	k1 := r.cfg.K + 1
-	uID, vID := g.NodeOf(u), g.NodeOf(v)
-	sendersB := r.setup.Assignment.Blocks[uID]
-	recvB := r.setup.Assignment.Blocks[vID]
-	keys := r.recipientKeys(v, slotIn)
-	// The relay and adjuster roles belong to the vertices' acting owners;
-	// after a recovery the replacement plays the dead node's part, adjusting
-	// with the dead node's registered neighbor key (handed over with the
-	// re-issued certificates).
-	relayID, adjustID := r.ownerOf(u), r.ownerOf(v)
-	neighborKey := r.secrets[vID].NeighborKeys[slotIn]
-	tag := network.Tag(qr.proto, "tx", iter, u, v)
-
-	fresh := make([]uint64, k1)
-	errCh := make(chan error, 2*k1+2)
-	var wg sync.WaitGroup
-	for m := 0; m < k1; m++ {
-		m := m
+		if progress != nil {
+			pctx = obs.WithProgress(pctx, progress.node(id))
+		}
+		nreq := req
+		own := int(id) - 1
+		nreq.Inputs = map[int]OwnerInput{own: {InitState: r.graph.InitState[own], Priv: r.graph.Priv[own]}}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ep := r.net.Endpoint(sendersB[m])
-			errCh <- transfer.SendShare(ctx, r.tparam, ep, relayID, tag, shares[m], keys)
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		errCh <- transfer.RunRelay(ctx, r.tparam, r.net.Endpoint(relayID), sendersB, adjustID, tag, dp.CryptoSource{})
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		errCh <- transfer.RunAdjust(ctx, r.tparam, r.net.Endpoint(adjustID), relayID, recvB, neighborKey, tag)
-	}()
-	for m := 0; m < k1; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			keys := r.secrets[recvB[m]].PrivateKeys
-			share, err := transfer.ReceiveShare(ctx, r.tparam, r.net.Endpoint(recvB[m]), adjustID, tag, keys, r.table)
-			fresh[m] = share
-			errCh <- err
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return fresh, nil
-}
-
-// recipientKeys returns the certificate keys for edge slot (v, slotIn),
-// with fixed-base tables when the run is long enough to amortize them.
-func (r *Runtime) recipientKeys(v, slotIn int) transfer.RecipientKeys {
-	cert := r.setup.Certs[r.graph.NodeOf(v)][slotIn] // B_v's keys re-randomized with v's slotIn-th neighbor key
-	return r.certCache.Keys(v, slotIn, transfer.RecipientKeys(cert.Keys))
-}
-
-// ownerOf returns the acting owner of vertex v: the first member of its
-// block. This is the registered owner g.NodeOf(v) until a recovery
-// substitutes a replacement into the slot.
-func (r *Runtime) ownerOf(v int) network.NodeID {
-	return r.setup.Assignment.Blocks[r.graph.NodeOf(v)][0]
-}
-
-// recordBarrier checkpoints the share state at barrier b: a deep copy for
-// in-process restore plus, per node, the encrypted snapshot blob a cluster
-// node would ship to the coordinator in a ckptMsg. No-op unless
-// checkpointing is enabled.
-func (r *Runtime) recordBarrier(qr *queryRun, b int) error {
-	if qr.archive == nil {
-		return nil
-	}
-	g := r.graph
-	bs := &barrierState{state: make([][]uint64, g.N()), msgs: make([][][]uint64, g.N())}
-	for v := 0; v < g.N(); v++ {
-		bs.state[v] = append([]uint64(nil), qr.stateShares[v]...)
-		bs.msgs[v] = make([][]uint64, len(qr.msgShares[v]))
-		for d := range qr.msgShares[v] {
-			bs.msgs[v][d] = append([]uint64(nil), qr.msgShares[v][d]...)
-		}
-	}
-	qr.archive[b] = bs
-	blobs := make(map[network.NodeID][]byte, g.N())
-	for v := 0; v < g.N(); v++ {
-		id := g.NodeOf(v)
-		snap := r.nodeSnapshot(bs, id, b)
-		blob, err := EncryptSnapshot(r.recKey, EncodeSnapshot(snap))
-		if err != nil {
-			return err
-		}
-		blobs[id] = blob
-	}
-	qr.ckpts[b] = blobs
-	qr.lastBarrier = b
-	return nil
-}
-
-// nodeSnapshot extracts node id's view of a barrier: its own share of every
-// vertex it is a block member of.
-func (r *Runtime) nodeSnapshot(bs *barrierState, id network.NodeID, b int) *Snapshot {
-	g := r.graph
-	snap := &Snapshot{Barrier: b, State: make(map[int]uint64), Msgs: make(map[int][]uint64)}
-	for v := 0; v < g.N(); v++ {
-		members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-		for m, member := range members {
-			if member != id {
-				continue
-			}
-			snap.State[v] = bs.state[v][m]
-			ms := make([]uint64, len(bs.msgs[v]))
-			for d := range ms {
-				ms[d] = bs.msgs[v][d][m]
-			}
-			snap.Msgs[v] = ms
-			break
-		}
-	}
-	return snap
-}
-
-// simRecover performs the full recovery protocol in-process after victim
-// dies during iteration `it` of attempt 1:
-//
-//  1. pick the lowest-id replacement that is not a co-member of the victim
-//     anywhere, and have the trusted party re-block and re-issue certs;
-//  2. restore every survivor's share state from the last barrier's archive,
-//     and the victim's from its encrypted checkpoint blob — decrypted with
-//     the fleet recovery key the replacement holds, never the coordinator;
-//  3. re-randomize the changed blocks' shares with a reshare under the
-//     fresh "…/recover/…" tag namespace (the replacement learned the
-//     victim's old shares, so the sharing must be refreshed);
-//  4. rebuild all GMW sessions under the attempt-versioned tag root and
-//     resume the lock-step schedule from the restored barrier.
-func (r *Runtime) simRecover(ctx context.Context, qr *queryRun, victim network.NodeID, it int, rep *Report) error {
-	g := r.graph
-	B := qr.lastBarrier
-	if B < 0 {
-		return fmt.Errorf("no barrier checkpoint recorded (enable Config.Recover)")
-	}
-
-	var repl network.NodeID
-	for v := 0; v < g.N(); v++ {
-		id := g.NodeOf(v)
-		if id != victim && trustedparty.ReplacementOK(r.setup.Assignment, victim, id) {
-			repl = id
-			break
-		}
-	}
-	if repl == 0 {
-		return fmt.Errorf("replacing node %d: %w", victim, trustedparty.ErrNoReplacement)
-	}
-	oldBlocks := r.setup.Assignment.Blocks
-	newSetup, err := r.tp.Reblock(r.setup, r.regs, victim, repl)
-	if err != nil {
-		return err
-	}
-
-	// The victim's externalized state travels through the same codec a
-	// cluster checkpoint does: encrypted blob → snapshot → shares.
-	plain, err := DecryptSnapshot(r.recKey, qr.ckpts[B][victim])
-	if err != nil {
-		return err
-	}
-	vsnap, err := DecodeSnapshot(plain)
-	if err != nil {
-		return err
-	}
-	if vsnap.Barrier != B {
-		return fmt.Errorf("victim checkpoint is for barrier %d, want %d", vsnap.Barrier, B)
-	}
-
-	// Restore barrier B, remapping member slots to the new canonical order.
-	bs := qr.archive[B]
-	changed := make([]int, 0)
-	for v := 0; v < g.N(); v++ {
-		oldMembers := oldBlocks[g.NodeOf(v)]
-		newMembers := newSetup.Assignment.Blocks[g.NodeOf(v)]
-		oldIdx := make(map[network.NodeID]int, len(oldMembers))
-		for m, id := range oldMembers {
-			oldIdx[id] = m
-		}
-		state := make([]uint64, len(newMembers))
-		msgs := make([][]uint64, len(bs.msgs[v]))
-		for d := range msgs {
-			msgs[d] = make([]uint64, len(newMembers))
-		}
-		wasChanged := false
-		for m2, id := range newMembers {
-			if m1, ok := oldIdx[id]; ok {
-				state[m2] = bs.state[v][m1]
-				for d := range msgs {
-					msgs[d][m2] = bs.msgs[v][d][m1]
-				}
-				continue
-			}
-			// The replacement takes over the victim's slot with the shares
-			// from the victim's checkpoint.
-			wasChanged = true
-			state[m2] = vsnap.State[v]
-			for d := range msgs {
-				msgs[d][m2] = vsnap.Msgs[v][d]
-			}
-		}
-		qr.stateShares[v] = state
-		qr.msgShares[v] = msgs
-		if wasChanged {
-			changed = append(changed, v)
-		}
-	}
-
-	// Commit the new deployment view. Certificates for changed blocks were
-	// re-issued, so the fixed-base key cache must be rebuilt.
-	r.setup = newSetup
-	r.certCache = transfer.NewCertKeyCache()
-	r.certMu.Lock()
-	if r.tparam.PrecomputeWorthwhile(r.certUses) {
-		r.certCache.Enable()
-	}
-	r.certMu.Unlock()
-
-	qr.attempt++
-	qr.proto = network.Tag(qr.root, "a", qr.attempt)
-	if err := r.createSessions(ctx, qr); err != nil {
-		return err
-	}
-
-	// Refresh the changed blocks' sharings: the replacement knows the
-	// victim's old shares, so survivors re-randomize with it under the
-	// recovery namespace before any further computation.
-	if err := r.parallelFor(len(changed), func(i int) error {
-		v := changed[i]
-		members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-		fresh, err := r.reshare(ctx, qr.stateShares[v], r.prog.StateBits, members, members, network.Tag(qr.proto, "recover", v, "st"))
-		if err != nil {
-			return err
-		}
-		qr.stateShares[v] = fresh
-		for d := range qr.msgShares[v] {
-			fresh, err := r.reshare(ctx, qr.msgShares[v][d], r.prog.MsgBits, members, members, network.Tag(qr.proto, "recover", v, "m", d))
+			res, err := p.Run(pctx, nreq)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				return err
-			}
-			qr.msgShares[v][d] = fresh
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	rep.Recoveries++
-	rep.ReplayedBarriers += it - B + 1
-	return nil
-}
-
-// reshare moves an XOR-shared word from the members of src to the members
-// of dst: each source member splits its share into |dst| subshares and
-// sends one to each destination member, who XORs what it receives into a
-// fresh share. Block memberships are public (§3.4), so this needs only the
-// secure point-to-point channels the network layer models — the
-// identity-hiding transfer protocol is required only for graph edges.
-func (r *Runtime) reshare(ctx context.Context, shares []uint64, bits int, src, dst []network.NodeID, tag string) ([]uint64, error) {
-	// Every member acts independently: sources split-and-send in parallel,
-	// then destinations collect in parallel (sends never block on the
-	// receiver, so issuing all sends first cannot deadlock).
-	sendErrs := make([]error, len(src))
-	var wg sync.WaitGroup
-	for m, id := range src {
-		m, id := m, id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			subs := secretshare.SplitXOR(shares[m], len(dst), bits)
-			ep := r.net.Endpoint(id)
-			for y, dest := range dst {
-				if err := ep.Send(dest, network.Tag(tag, m), EncodeShares(subs[y:y+1])); err != nil {
-					sendErrs[m] = err
-					return
+				if firstErr == nil {
+					firstErr = err
+					cancel()
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range sendErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	fresh := make([]uint64, len(dst))
-	recvErrs := make([]error, len(dst))
-	for y, dest := range dst {
-		y, dest := y, dest
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			epY := r.net.Endpoint(dest)
-			for m, id := range src {
-				data, err := epY.Recv(ctx, id, network.Tag(tag, m))
-				if err != nil {
-					recvErrs[y] = err
-					return
-				}
-				vals, err := DecodeShares(data, 1)
-				if err != nil {
-					recvErrs[y] = err
-					return
-				}
-				fresh[y] ^= vals[0]
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range recvErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return fresh, nil
-}
-
-// evalInBlock runs one circuit in a block session: member m supplies
-// inputs[m] and receives its output shares.
-func (r *Runtime) evalInBlock(ctx context.Context, sessions []*gmw.Party, c *circuit.Circuit, inputs [][]uint8) ([][]uint8, error) {
-	k1 := len(sessions)
-	out := make([][]uint8, k1)
-	errs := make([]error, k1)
-	var wg sync.WaitGroup
-	for m := 0; m < k1; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[m], errs[m] = sessions[m].Evaluate(ctx, c, inputs[m])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// openInBlock opens shared bits in a block session, checking agreement.
-func (r *Runtime) openInBlock(ctx context.Context, sessions []*gmw.Party, shares [][]uint8) (int64, error) {
-	k1 := len(sessions)
-	results := make([]int64, k1)
-	errs := make([]error, k1)
-	var wg sync.WaitGroup
-	for y := 0; y < k1; y++ {
-		y := y
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			open, err := sessions[y].Open(ctx, shares[y])
-			if err != nil {
-				errs[y] = err
 				return
 			}
-			results[y] = circuit.DecodeWordS(open)
+			results[id] = res
 		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var dead network.NodeID
+	select {
+	case <-done:
+		// A death can race a failure it did not cause (the caller's ctx
+		// ending); it must not leak into the next query.
+		select {
+		case dead = <-r.deaths:
+		default:
+		}
+	case dead = <-r.deaths:
+		cancel()
+		<-done
+	}
+	if dead != 0 {
+		return nil, dead, nil
+	}
+	if firstErr != nil {
+		return nil, 0, firstErr
+	}
+	if tr != nil {
+		ids := make([]network.NodeID, 0, len(traces))
+		for id := range traces {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		for _, id := range ids {
+			nt := traces[id]
+			tr.AddSpans(obs.ShiftSpans(nt.Spans(), nt.Epoch().Sub(tr.Epoch()).Nanoseconds()))
+			tr.AddCounters(nt.Counters())
 		}
 	}
-	for y := 1; y < k1; y++ {
-		if results[y] != results[0] {
-			return 0, fmt.Errorf("vertex: aggregation members disagree: %d vs %d", results[0], results[y])
-		}
-	}
-	return results[0], nil
+	return results, 0, nil
 }
 
-// aggregate re-shares all vertex states to the aggregation machinery (flat
-// or tree-shaped, §3.6), evaluates the aggregation function plus the
-// in-MPC Laplace noise, and opens only the noised result.
-func (r *Runtime) aggregate(ctx context.Context, qr *queryRun, plan *aggPlan) (int64, error) {
-	if r.cfg.AggFanIn > 0 && r.graph.N() > r.cfg.AggFanIn {
-		return r.aggregateTree(ctx, qr, plan)
+// recover re-blocks the deployment around dead, as the cluster
+// coordinator does: take the latest barrier every node shipped, let the
+// trusted party re-block, and apply the re-blocking on every survivor,
+// handing the replacement the casualty's sealed snapshot. It returns the
+// barrier the next attempt resumes from (−1: restart from init).
+func (r *Runtime) recover(seq int, dead network.NodeID) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	live := make([]network.NodeID, 0, len(r.parts))
+	for id := range r.parts {
+		live = append(live, id)
 	}
-	g := r.graph
-	k1 := r.cfg.K + 1
-	aggMembers := r.setup.Assignment.AggBlock
-
-	// Collect every vertex's re-shared state in parallel (tags are keyed
-	// by vertex, so streams cannot mix), then assemble the inputs in
-	// vertex order.
-	cols := make([][]uint64, g.N())
-	if err := r.parallelFor(g.N(), func(v int) error {
-		members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-		var err error
-		cols[v], err = r.reshare(ctx, qr.stateShares[v], r.prog.StateBits, members, aggMembers, network.Tag(qr.proto, "aggsh", v))
-		return err
-	}); err != nil {
-		return 0, err
-	}
-	aggInput := make([][]uint8, k1)
-	for v := 0; v < g.N(); v++ {
-		for y := 0; y < k1; y++ {
-			aggInput[y] = append(aggInput[y], WordToBits(cols[v][y], r.prog.StateBits)...)
-		}
-	}
-	// Each member contributes its own uniform random bits for the noise
-	// sampler; the circuit sees the XOR of all contributions, so one honest
-	// member suffices for uniformity.
-	for y := 0; y < k1; y++ {
-		noiseBits, err := RandomInputBits(plan.noise.RandBits())
-		if err != nil {
-			return 0, err
-		}
-		aggInput[y] = append(aggInput[y], noiseBits...)
-	}
-	outShares, err := r.evalInBlock(ctx, qr.aggSession, plan.circ, aggInput)
+	sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
+	b := MinBarrier(r.ckpts[seq], live)
+	rb, err := PlanReblock(r.tp, r.setup, r.regs, r.graph, live, dead)
 	if err != nil {
 		return 0, err
 	}
-	return r.openInBlock(ctx, qr.aggSession, outShares)
+	var blobs map[int][]byte
+	if b >= 0 {
+		blobs = map[int][]byte{seq: r.ckpts[seq][dead][b]}
+	}
+	delete(r.parts, dead)
+	r.setup = rb.Setup
+	for _, p := range r.parts {
+		if err := p.ApplyRecover(rb, blobs); err != nil {
+			return 0, err
+		}
+	}
+	return b, nil
 }
 
-// aggregateTree implements the two-level aggregation tree of §3.6: leaf
-// blocks (reusing the block of each group's first vertex) partially
-// aggregate up to AggFanIn states; the root block combines the partials
-// and draws the noise.
-func (r *Runtime) aggregateTree(ctx context.Context, qr *queryRun, plan *aggPlan) (int64, error) {
-	g := r.graph
-	k1 := r.cfg.K + 1
-	fanIn := r.cfg.AggFanIn
-	nGroups := (g.N() + fanIn - 1) / fanIn
+// fleetProgress forwards a simulated fleet's phase advances to the
+// caller's progress callback the way the cluster's health plane does: a
+// phase is announced once the slowest participant has entered it.
+type fleetProgress struct {
+	mu    sync.Mutex
+	fn    obs.ProgressFunc
+	steps map[network.NodeID]int
+	shown int
+}
 
-	// Leaf groups are disjoint — distinct sessions, distinct reshare tags,
-	// distinct output slots — so they run concurrently under the
-	// Config.Parallelism semaphore like the per-block MPC phases.
-	tr := obs.From(ctx)
-	partialShares := make([][]uint64, nGroups) // [group][leaf member]
-	leafBlocks := make([][]network.NodeID, nGroups)
-	if err := r.parallelFor(nGroups, func(grp int) error {
-		leafT0 := time.Now()
-		defer func() {
-			if tr != nil {
-				tr.Span(fmt.Sprintf("agg/leaf/%d", grp), leafT0)
-			}
-		}()
-		lo := grp * fanIn
-		hi := lo + fanIn
-		if hi > g.N() {
-			hi = g.N()
+func (f *fleetProgress) node(id network.NodeID) obs.ProgressFunc {
+	return func(phase string) {
+		f.mu.Lock()
+		f.steps[id]++
+		slowest := f.steps[id]
+		for _, s := range f.steps {
+			slowest = min(slowest, s)
 		}
-		leader := lo // the group's first vertex hosts the leaf aggregation
-		leafMembers := r.setup.Assignment.Blocks[g.NodeOf(leader)]
-		leafBlocks[grp] = leafMembers
-		partialCirc, err := r.prog.PartialAggregateCircuit(hi - lo)
-		if err != nil {
-			return err
+		announce := slowest > f.shown
+		if announce {
+			f.shown = slowest
 		}
-		leafInput := make([][]uint8, k1)
-		for v := lo; v < hi; v++ {
-			members := r.setup.Assignment.Blocks[g.NodeOf(v)]
-			col, err := r.reshare(ctx, qr.stateShares[v], r.prog.StateBits, members, leafMembers, network.Tag(qr.proto, "leafsh", grp, v))
-			if err != nil {
-				return err
-			}
-			for y := 0; y < k1; y++ {
-				leafInput[y] = append(leafInput[y], WordToBits(col[y], r.prog.StateBits)...)
-			}
-		}
-		outShares, err := r.evalInBlock(ctx, qr.sessions[leader], partialCirc, leafInput)
-		if err != nil {
-			return fmt.Errorf("vertex: leaf aggregation %d: %w", grp, err)
-		}
-		partialShares[grp] = make([]uint64, k1)
-		for m := 0; m < k1; m++ {
-			partialShares[grp][m] = BitsToWord(outShares[m])
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-
-	// Root: combine partials + noise in the TP's aggregation block.
-	rootT0 := time.Now()
-	defer tr.Span("agg/root", rootT0)
-	combineCirc, err := r.prog.CombineCircuit(nGroups, plan.noise)
-	if err != nil {
-		return 0, err
-	}
-	aggMembers := r.setup.Assignment.AggBlock
-	rootInput := make([][]uint8, k1)
-	for grp := 0; grp < nGroups; grp++ {
-		col, err := r.reshare(ctx, partialShares[grp], r.prog.AggBits, leafBlocks[grp], aggMembers, network.Tag(qr.proto, "rootsh", grp))
-		if err != nil {
-			return 0, err
-		}
-		for y := 0; y < k1; y++ {
-			rootInput[y] = append(rootInput[y], WordToBits(col[y], r.prog.AggBits)...)
+		f.mu.Unlock()
+		if announce {
+			f.fn(phase)
 		}
 	}
-	for y := 0; y < k1; y++ {
-		noiseBits, err := RandomInputBits(plan.noise.RandBits())
-		if err != nil {
-			return 0, err
-		}
-		rootInput[y] = append(rootInput[y], noiseBits...)
-	}
-	outShares, err := r.evalInBlock(ctx, qr.aggSession, combineCirc, rootInput)
-	if err != nil {
-		return 0, fmt.Errorf("vertex: root aggregation: %w", err)
-	}
-	return r.openInBlock(ctx, qr.aggSession, outShares)
 }
 
 // Net exposes the network hub for traffic inspection.
 func (r *Runtime) Net() *network.Network { return r.net }
-
-// UpdateCircuit exposes the compiled update circuit (for reports/benches).
-func (r *Runtime) UpdateCircuit() *circuit.Circuit { return r.updCirc }
-
-// AggregateCircuitCompiled exposes the compiled aggregation circuit for
-// the configured Epsilon.
-func (r *Runtime) AggregateCircuitCompiled() *circuit.Circuit {
-	pl, err := r.planFor(r.cfg.Epsilon)
-	if err != nil {
-		panic(err) //dstress:panic-ok — plan compiled once in New; cannot fail afterwards
-	}
-	return pl.circ
-}
-
-// ---------------------------------------------------------------------------
-// Helpers
-//
-// The wire-format primitives below are exported because the cluster engine
-// (internal/cluster) must stay byte-compatible with this runtime: both
-// sides of every share message use exactly these encodings.
-// ---------------------------------------------------------------------------
-
-// OutSlot returns the slot of edge u → v on the sending side, or -1.
-func OutSlot(g *Graph, u, v int) int {
-	for d, w := range g.Out[u] {
-		if w == v {
-			return d
-		}
-	}
-	return -1
-}
-
-// Column extracts entry m of every row.
-func Column(rows [][]uint64, m int) []uint64 {
-	out := make([]uint64, len(rows))
-	for i, r := range rows {
-		out[i] = r[m]
-	}
-	return out
-}
-
-// WordToBits unpacks the low `bits` bits of w, LSB first.
-func WordToBits(w uint64, bits int) []uint8 {
-	out := make([]uint8, bits)
-	for i := 0; i < bits; i++ {
-		out[i] = uint8((w >> i) & 1)
-	}
-	return out
-}
-
-// BitsToWord packs LSB-first bits into a word.
-func BitsToWord(bits []uint8) uint64 {
-	var w uint64
-	for i, b := range bits {
-		w |= uint64(b&1) << i
-	}
-	return w
-}
-
-// EncodeShares serializes share words as little-endian uint64s.
-func EncodeShares(vals []uint64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		for b := 0; b < 8; b++ {
-			out[i*8+b] = byte(v >> (8 * b))
-		}
-	}
-	return out
-}
-
-// DecodeShares parses exactly n little-endian uint64 share words.
-func DecodeShares(data []byte, n int) ([]uint64, error) {
-	if len(data) != 8*n {
-		return nil, fmt.Errorf("vertex: share payload has %d bytes, want %d", len(data), 8*n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		for b := 0; b < 8; b++ {
-			out[i] |= uint64(data[i*8+b]) << (8 * b)
-		}
-	}
-	return out, nil
-}
-
-// RandomInputBits draws n uniform unpacked bits from crypto/rand.
-func RandomInputBits(n int) ([]uint8, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, (n+7)/8)
-	if _, err := crand.Read(buf); err != nil {
-		return nil, fmt.Errorf("vertex: reading entropy: %w", err)
-	}
-	return ot.UnpackBits(buf, n), nil
-}

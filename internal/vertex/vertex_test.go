@@ -6,12 +6,15 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"dstress/internal/circuit"
 	"dstress/internal/group"
 	"dstress/internal/network"
+	"dstress/internal/obs"
 )
 
 var tg = group.ModP256()
@@ -260,11 +263,7 @@ func TestRuntimeWithOutputNoise(t *testing.T) {
 		// likely if noise were working; flag as suspicious only when the
 		// noise circuit is provably disabled.
 		rt, _ := New(context.Background(), Config{Group: tg, K: 1, Alpha: 0.5, Epsilon: eps, OTMode: OTDealer}, p, g)
-		pl, err := rt.planFor(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pl.noise.Enabled() {
+		if !rt.dep.planFor(eps).noise.Enabled() {
 			t.Error("noise spec disabled despite Epsilon > 0")
 		}
 	}
@@ -592,7 +591,9 @@ func TestRuntimePrecomputedCertsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.certCache.Enable()
+	for _, part := range rt.parts {
+		part.certCache.Enable()
+	}
 	got, _, err := rt.Run(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -600,32 +601,12 @@ func TestRuntimePrecomputedCertsMatchReference(t *testing.T) {
 	if got != want {
 		t.Errorf("precomputed-cert runtime = %d, reference = %d", got, want)
 	}
-	if rt.certCache.Len() == 0 {
+	cached := 0
+	for _, part := range rt.parts {
+		cached += part.certCache.Len()
+	}
+	if cached == 0 {
 		t.Error("run did not populate the certificate-table cache")
-	}
-}
-
-// TestRuntimeParallelismOne pins the semaphore contract: a run restricted
-// to one in-flight block at a time (Parallelism = 1) must still complete
-// every phase — init, compute, transfer, tree aggregation — and agree
-// with the reference.
-func TestRuntimeParallelismOne(t *testing.T) {
-	p := sumProgram()
-	g := ringGraph(t, 6, p)
-	want, err := RunReference(p, g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(context.Background(), Config{Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer, AggFanIn: 2, Parallelism: 1}, p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := rt.Run(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("Parallelism=1 runtime = %d, reference = %d", got, want)
 	}
 }
 
@@ -695,6 +676,34 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 	bound := int64(spec.Trials) << spec.Shift
 	if diff := got - want; diff < -bound || diff > bound {
 		t.Errorf("noised query %d is beyond the structural bound ±%d of %d", got, bound, want)
+	}
+}
+
+// TestSimProgressFollowsSlowestNode: the simulated fleet announces each
+// phase to the caller's progress callback once, when its slowest
+// participant enters it — the cluster health plane's semantics — so a
+// watchdog sees the schedule in order, not N interleaved copies of it.
+func TestSimProgressFollowsSlowestNode(t *testing.T) {
+	p := sumProgram()
+	g := ringGraph(t, 4, p)
+	rt, err := New(context.Background(), Config{Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer}, p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var phases []string
+	ctx := obs.WithProgress(context.Background(), func(phase string) {
+		mu.Lock()
+		phases = append(phases, phase)
+		mu.Unlock()
+	})
+	if _, _, err := rt.Run(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"phase/init", "iter/0/compute", "iter/0/communicate", "iter/1/compute",
+		"iter/1/communicate", "iter/2/compute", "phase/agg"}
+	if !slices.Equal(phases, want) {
+		t.Errorf("announced phases %v, want %v", phases, want)
 	}
 }
 
